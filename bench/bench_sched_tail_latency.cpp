@@ -48,7 +48,7 @@ namespace {
 using namespace ftnav;
 using namespace ftnav::benchharness;
 
-constexpr std::size_t kTrials = 256;        // -> 64 streamed shards
+constexpr std::size_t kTrials = 256;        // -> 64 shards
 constexpr std::size_t kHeavyTrials = 32;    // first 8 shards are heavy
 constexpr const char* kTag = "sched-tail-latency";
 
@@ -62,7 +62,7 @@ std::size_t g_light_draws = 0;
 Histogram run_campaign(const CampaignStreamConfig& stream,
                        std::size_t* assigned_draws = nullptr) {
   const CampaignRunner runner(1);
-  return runner.map_reduce_streamed(
+  return runner.map_reduce(
       kTag, kTrials, 7, [] { return Histogram(0.0, 1.0, 16); },
       [assigned_draws](Histogram& acc, std::size_t trial, Rng& rng) {
         const std::size_t draws =

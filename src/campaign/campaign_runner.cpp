@@ -3,21 +3,14 @@
 #include <thread>
 
 #include "campaign/worker_pool.h"
-#include "obs/trace.h"
 
 namespace ftnav {
 namespace {
 
-/// Shards handed out per worker in batch mode: oversubscription smooths
-/// out heterogeneous trial costs (a high-BER training run can take many
-/// times longer than a fault-free rollout) without giving up the
-/// cache-friendliness of contiguous trial ranges.
-constexpr std::size_t kShardsPerWorker = 4;
-
-/// Streamed campaigns use a fixed partition so the completed-shard
-/// bitmap in a checkpoint means the same thing for every thread count
-/// and machine. 64 shards keeps pools up to ~16 workers balanced while
-/// giving checkpoint/progress a useful granularity.
+/// Campaigns use a fixed partition so shard telemetry and the
+/// completed-shard bitmap in a checkpoint mean the same thing for every
+/// thread count and machine. 64 shards keeps pools up to ~16 workers
+/// balanced while giving checkpoint/progress a useful granularity.
 constexpr std::size_t kStreamShards = 64;
 
 }  // namespace
@@ -53,35 +46,7 @@ int resolve_threads(int threads) noexcept {
 CampaignRunner::CampaignRunner(int threads)
     : threads_(resolve_threads(threads)) {}
 
-std::size_t CampaignRunner::shard_budget() const noexcept {
-  return static_cast<std::size_t>(threads_) * kShardsPerWorker;
-}
-
-void CampaignRunner::run_shards(
-    std::size_t trial_count,
-    const std::function<void(const CampaignShard&)>& body) const {
-  const std::vector<CampaignShard> shards =
-      shard_trials(trial_count, shard_budget());
-  run_shards_prepartitioned(
-      shards, [&](std::size_t index) { body(shards[index]); });
-}
-
-void CampaignRunner::run_shards_prepartitioned(
-    const std::vector<CampaignShard>& shards,
-    const std::function<void(std::size_t)>& body) const {
-  if (shards.empty()) return;
-  // Batch (non-streamed) campaigns get their per-shard spans here; the
-  // streamed path spans inside run_one_shard instead, where the shard
-  // tag and lease outcome are in scope.
-  WorkerPool::instance().run(shards.size(), threads_,
-                             [&body](std::size_t index) {
-                               obs::TraceSpan span("shard", "campaign",
-                                                   "shard", index);
-                               body(index);
-                             });
-}
-
-void CampaignRunner::run_shards_prepartitioned_indices(
+void CampaignRunner::dispatch_shards(
     const std::vector<std::size_t>& indices,
     const std::function<void(std::size_t)>& body) const {
   if (indices.empty()) return;

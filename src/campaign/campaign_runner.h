@@ -1,5 +1,5 @@
 #pragma once
-// Parallel sharded fault-injection campaign engine (v2).
+// Parallel sharded fault-injection campaign engine.
 //
 // The paper's figures are produced by campaigns: grids of
 // BER x injection location x repeat trials, each an independent
@@ -11,34 +11,40 @@
 //   (campaign seed, trial index) -- never of thread count, scheduling
 //   order, or shard boundaries.
 //
-// v2 dispatches shards to the process-wide persistent WorkerPool
-// (work-stealing deques, reused across campaign phases — see
-// worker_pool.h) instead of spawning threads per campaign.
+// Every campaign executes through one core: [0, trial_count) is cut
+// into stream_shard_count(trial_count) contiguous shards — a pure
+// function of the trial count, never of the thread count — which are
+// dispatched to the process-wide persistent WorkerPool (work-stealing
+// deques, reused across campaign phases — see worker_pool.h). Each
+// shard accumulates into its own partial, and partials merge into the
+// campaign result in completion order. The same core carries the
+// optional streaming features of CampaignStreamConfig (progress,
+// checkpoint/resume, graceful stop, distributed shard arbitration; see
+// streaming.h and checkpoint.h): a checkpoint written by a 1-thread
+// run resumes bit-identically under 8 threads and vice versa, and a
+// default-constructed config simply runs every shard.
 //
-// `map` evaluates a trial function over [0, trial_count) and returns
-// the results indexed by trial, so campaign output is bit-identical
-// for any `threads` value. `map_reduce` additionally keeps one
-// accumulator per shard and merges them in ascending shard order; use
-// it for partition-invariant statistics (counts, disjoint HeatmapGrid
-// cells, Histogram bins). Order-sensitive floating-point folds should
-// instead `map` to a per-trial vector and fold serially in trial order.
-//
-// The `*_streamed` variants add streaming partial results and
-// checkpoint/resume (see streaming.h and checkpoint.h). Their shard
-// partition is a pure function of the trial count — never of the
-// thread count — so a checkpoint written by a 1-thread run resumes
-// bit-identically under 8 threads and vice versa. Streamed
-// accumulators must merge order-invariantly (integer tallies, disjoint
-// cells, min/max); every campaign accumulator in src/experiments does.
+// Two adapters sit on the core:
+//   * `map` returns the trial-indexed results vector, optionally with
+//     a per-shard scratch object (resident engines, buffers); output is
+//     bit-identical for any `threads` value. Order-sensitive
+//     floating-point folds should `map` to a per-trial vector and fold
+//     serially in trial order.
+//   * `map_reduce` folds trials into per-shard accumulators. Merges
+//     run in completion order, so accumulators must merge
+//     order-invariantly (integer tallies, disjoint HeatmapGrid cells,
+//     Histogram bins, min/max); every campaign accumulator in
+//     src/experiments does.
 //
 // The first exception thrown by a trial aborts the remaining shards
 // and is rethrown on the calling thread after the region joins (among
 // concurrently failing shards, the lowest recorded index wins).
 
+#include <algorithm>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -71,9 +77,9 @@ struct CampaignShard {
 std::vector<CampaignShard> shard_trials(std::size_t trial_count,
                                         std::size_t max_shards);
 
-/// Shard budget of a streamed campaign: a pure function of the trial
-/// count (fixed 64-way split, fewer for tiny grids) so checkpoints are
-/// valid across thread counts and machines.
+/// Shard budget of every campaign: a pure function of the trial count
+/// (fixed 64-way split, fewer for tiny grids) so results, checkpoints
+/// and shard telemetry are the same across thread counts and machines.
 std::size_t stream_shard_count(std::size_t trial_count) noexcept;
 
 /// Resolves a config `threads` knob: values > 0 pass through, anything
@@ -82,15 +88,21 @@ int resolve_threads(int threads) noexcept;
 
 namespace detail {
 
-/// Accumulator adapter that lets `map` campaigns ride the streaming
-/// machinery: the merged side owns the full trial-indexed results
-/// vector; each per-shard partial carries only its slice, which the
-/// merge copies into place (disjoint ranges, hence order-invariant).
-template <typename T>
+/// Scratch type of the scratch-less `map` overload.
+struct NoScratch {};
+
+/// Accumulator adapter that lets `map` campaigns ride the campaign
+/// core: the merged side owns the full trial-indexed results vector;
+/// each per-shard partial carries only its slice, which the merge
+/// copies into place (disjoint ranges, hence order-invariant), plus
+/// the shard's runtime-only scratch object. The scratch never reaches
+/// save_state/restore_state, so checkpoint bytes hold results only.
+template <typename T, typename Scratch>
 struct MapAccum {
-  std::vector<T> results;     // merged side (full trial count)
-  std::size_t slice_begin = 0;
-  std::vector<T> slice;       // partial side
+  std::vector<T> results;          // merged side (full trial count)
+  std::size_t slice_begin = 0;     // partial side: the shard's results
+  std::vector<T> slice;
+  std::optional<Scratch> scratch;  // partial side, built on first trial
 
   void save_state(std::ostream& out) const {
     CampaignStateCodec<std::vector<T>>::save(out, results);
@@ -98,26 +110,6 @@ struct MapAccum {
   void restore_state(std::istream& in) {
     CampaignStateCodec<std::vector<T>>::load(in, results);
   }
-};
-
-/// MapAccum plus a runtime-only per-shard scratch object (e.g. a
-/// resident engine cache — see nn/engine_slot.h). The scratch never
-/// reaches save_state/restore_state (inherited: results only) and is
-/// dropped by copies, so checkpoint bytes and merged results are
-/// byte-identical to the scratch-less MapAccum's.
-template <typename T, typename Scratch>
-struct MapScratchAccum : MapAccum<T> {
-  std::unique_ptr<Scratch> scratch;
-
-  MapScratchAccum() = default;
-  MapScratchAccum(const MapScratchAccum& other) : MapAccum<T>(other) {}
-  MapScratchAccum& operator=(const MapScratchAccum& other) {
-    MapAccum<T>::operator=(other);
-    scratch.reset();
-    return *this;
-  }
-  MapScratchAccum(MapScratchAccum&&) = default;
-  MapScratchAccum& operator=(MapScratchAccum&&) = default;
 };
 
 }  // namespace detail
@@ -131,145 +123,64 @@ class CampaignRunner {
 
   /// Deterministic parallel map: returns {fn(0, rng_0), ...,
   /// fn(trial_count - 1, rng_{n-1})} where rng_i = Rng::stream(seed, i).
+  /// `tag` names the campaign in checkpoints and shard telemetry; the
+  /// result type must be trivially copyable (raw-bytes checkpoint
+  /// payload).
   template <typename Fn>
-  auto map(std::size_t trial_count, std::uint64_t seed, Fn&& fn) const
-      -> std::vector<std::invoke_result_t<Fn&, std::size_t, Rng&>> {
-    using T = std::invoke_result_t<Fn&, std::size_t, Rng&>;
-    // std::vector<bool> packs bits, so concurrent writes to adjacent
-    // trials would race on the same byte. Return char/int instead.
-    static_assert(!std::is_same_v<T, bool>,
-                  "CampaignRunner::map: bool results race in "
-                  "std::vector<bool>; return char or int instead");
-    std::vector<T> results(trial_count);
-    run_shards(trial_count, [&](const CampaignShard& shard) {
-      for (std::size_t trial = shard.begin; trial < shard.end; ++trial) {
-        Rng rng = Rng::stream(seed, trial);
-        results[trial] = fn(trial, rng);
-      }
-    });
-    return results;
-  }
-
-  /// `map` with streaming progress and checkpoint/resume. Results are
-  /// bit-identical to `map` for every thread count and interruption
-  /// point. `tag` names the campaign in the checkpoint fingerprint;
-  /// the result type must be trivially copyable (raw-bytes payload).
-  template <typename Fn>
-  auto map_streamed(std::string_view tag, std::size_t trial_count,
-                    std::uint64_t seed, Fn&& fn,
-                    const CampaignStreamConfig& stream) const
-      -> std::vector<std::invoke_result_t<Fn&, std::size_t, Rng&>> {
-    using T = std::invoke_result_t<Fn&, std::size_t, Rng&>;
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "map_streamed results must be trivially copyable");
-    static_assert(!std::is_same_v<T, bool>,
-                  "CampaignRunner::map_streamed: return char or int "
-                  "instead of bool");
-    if (!stream.streaming_enabled()) return map(trial_count, seed, fn);
-    using Accum = detail::MapAccum<T>;
-    Accum initial;
-    initial.results.assign(trial_count, T{});
-    Accum merged = run_streamed<Accum>(
-        tag, trial_count, seed, std::move(initial),
-        [] { return Accum{}; },  // per-shard partials carry only a slice
-        [&](Accum& acc, const CampaignShard& shard, std::size_t trial,
-            Rng& rng) {
-          if (acc.slice.empty()) {
-            acc.slice_begin = shard.begin;
-            acc.slice.reserve(shard.size());
-          }
-          acc.slice.push_back(fn(trial, rng));
-        },
-        [](Accum& into, Accum&& from) {
-          for (std::size_t i = 0; i < from.slice.size(); ++i)
-            into.results[from.slice_begin + i] = from.slice[i];
-        },
-        // Partial-checkpoint merge: a restored MapAccum carries the
-        // full-size results vector, so copy the trial ranges its
-        // bitmap owns (disjoint across partials, hence
-        // order-invariant).
-        [](Accum& into, Accum&& from,
-           const std::vector<std::uint8_t>& from_done,
-           const std::vector<CampaignShard>& shards) {
-          for (std::size_t s = 0; s < shards.size(); ++s) {
-            if (!from_done[s]) continue;
-            for (std::size_t t = shards[s].begin; t < shards[s].end; ++t)
-              into.results[t] = from.results[t];
-          }
+    requires std::invocable<Fn&, std::size_t, Rng&>
+  auto map(std::string_view tag, std::size_t trial_count, std::uint64_t seed,
+           Fn&& fn, const CampaignStreamConfig& stream = {}) const {
+    return map(
+        tag, trial_count, seed, [] { return detail::NoScratch{}; },
+        [&fn](std::size_t trial, Rng& rng, detail::NoScratch&) {
+          return fn(trial, rng);
         },
         stream);
-    return std::move(merged.results);
   }
 
   /// `map` with a per-shard scratch object: `scratch = make_scratch()`
   /// is built once per shard and passed to `fn(trial, rng, scratch)`
   /// for every trial of that shard. Scratch is runtime-only reuse
   /// state (resident engines, buffers); `fn`'s results must not depend
-  /// on it, so output stays bit-identical to `map` for every thread
-  /// count and shard partition.
-  template <typename MakeScratch, typename Fn>
-  auto map_scratch(std::size_t trial_count, std::uint64_t seed,
-                   MakeScratch&& make_scratch, Fn&& fn) const
-      -> std::vector<std::invoke_result_t<
-          Fn&, std::size_t, Rng&, std::invoke_result_t<MakeScratch&>&>> {
-    using Scratch = std::invoke_result_t<MakeScratch&>;
-    using T = std::invoke_result_t<Fn&, std::size_t, Rng&, Scratch&>;
-    static_assert(!std::is_same_v<T, bool>,
-                  "CampaignRunner::map_scratch: bool results race in "
-                  "std::vector<bool>; return char or int instead");
-    std::vector<T> results(trial_count);
-    run_shards(trial_count, [&](const CampaignShard& shard) {
-      Scratch scratch = make_scratch();
-      for (std::size_t trial = shard.begin; trial < shard.end; ++trial) {
-        Rng rng = Rng::stream(seed, trial);
-        results[trial] = fn(trial, rng, scratch);
-      }
-    });
-    return results;
-  }
-
-  /// `map_streamed` with a per-shard scratch object (see map_scratch).
-  /// The scratch lives in the per-shard partial accumulator and never
-  /// reaches checkpoint bytes, so artifacts are byte-identical to the
-  /// scratch-less path for every thread/worker count and interruption
-  /// point.
-  template <typename MakeScratch, typename Fn>
-  auto map_streamed_scratch(std::string_view tag, std::size_t trial_count,
-                            std::uint64_t seed, MakeScratch&& make_scratch,
-                            Fn&& fn, const CampaignStreamConfig& stream) const
-      -> std::vector<std::invoke_result_t<
-          Fn&, std::size_t, Rng&, std::invoke_result_t<MakeScratch&>&>> {
-    using Scratch = std::invoke_result_t<MakeScratch&>;
-    using T = std::invoke_result_t<Fn&, std::size_t, Rng&, Scratch&>;
+  /// on it, so output and checkpoint bytes stay bit-identical to the
+  /// scratch-less form.
+  template <typename MakeScratch, typename Fn,
+            typename Scratch = std::invoke_result_t<MakeScratch&>,
+            typename T =
+                std::invoke_result_t<Fn&, std::size_t, Rng&, Scratch&>>
+  std::vector<T> map(std::string_view tag, std::size_t trial_count,
+                     std::uint64_t seed, MakeScratch&& make_scratch, Fn&& fn,
+                     const CampaignStreamConfig& stream = {}) const {
     static_assert(std::is_trivially_copyable_v<T>,
-                  "map_streamed_scratch results must be trivially copyable");
+                  "CampaignRunner::map results must be trivially copyable");
     static_assert(!std::is_same_v<T, bool>,
-                  "CampaignRunner::map_streamed_scratch: return char or "
-                  "int instead of bool");
-    if (!stream.streaming_enabled())
-      return map_scratch(trial_count, seed, make_scratch, fn);
-    using Accum = detail::MapScratchAccum<T, Scratch>;
-    Accum initial;
-    initial.results.assign(trial_count, T{});
-    Accum merged = run_streamed<Accum>(
-        tag, trial_count, seed, std::move(initial),
-        [] { return Accum{}; },  // per-shard partials carry only a slice
+                  "CampaignRunner::map: return char or int instead of bool");
+    using Accum = detail::MapAccum<T, Scratch>;
+    Accum merged = run_streamed(
+        tag, trial_count, seed,
+        [trial_count] {
+          Accum acc;
+          acc.results.resize(trial_count);
+          return acc;
+        },
+        [] { return Accum{}; },
         [&](Accum& acc, const CampaignShard& shard, std::size_t trial,
             Rng& rng) {
-          if (acc.slice.empty()) {
+          if (!acc.scratch) {
+            acc.scratch.emplace(make_scratch());
             acc.slice_begin = shard.begin;
             acc.slice.reserve(shard.size());
           }
-          if (!acc.scratch)
-            acc.scratch = std::make_unique<Scratch>(make_scratch());
           acc.slice.push_back(fn(trial, rng, *acc.scratch));
         },
         [](Accum& into, Accum&& from) {
-          for (std::size_t i = 0; i < from.slice.size(); ++i)
-            into.results[from.slice_begin + i] = from.slice[i];
+          std::copy(from.slice.begin(), from.slice.end(),
+                    into.results.begin() +
+                        static_cast<std::ptrdiff_t>(from.slice_begin));
         },
-        // Partial-checkpoint merge: identical to map_streamed's (the
-        // scratch is not part of the restored state).
+        // A restored MapAccum carries the full-size results vector, so
+        // copy the trial ranges its bitmap owns (disjoint across
+        // partials, hence order-invariant).
         [](Accum& into, Accum&& from,
            const std::vector<std::uint8_t>& from_done,
            const std::vector<CampaignShard>& shards) {
@@ -283,66 +194,22 @@ class CampaignRunner {
     return std::move(merged.results);
   }
 
-  /// Deterministic parallel for-each over trials; `fn(trial, rng)`
-  /// writes into caller-owned per-trial slots.
-  template <typename Fn>
-  void for_each(std::size_t trial_count, std::uint64_t seed, Fn&& fn) const {
-    run_shards(trial_count, [&](const CampaignShard& shard) {
-      for (std::size_t trial = shard.begin; trial < shard.end; ++trial) {
-        Rng rng = Rng::stream(seed, trial);
-        fn(trial, rng);
-      }
-    });
-  }
-
   /// Sharded map-reduce: every shard accumulates into its own
   /// `make_acc()` instance via `accumulate(acc, trial, rng)`, and the
-  /// per-shard accumulators are folded into the first shard's via
-  /// `merge(into, from)` in ascending shard order. Deterministic for
-  /// partition-invariant accumulators (see file comment).
+  /// partials fold into the result via `merge(into, from)` in
+  /// completion order, so `merge` must be order-invariant (see file
+  /// comment). With checkpointing the accumulator must be serializable
+  /// via CampaignStateCodec (save_state/restore_state members, or a
+  /// vector of trivially copyable tallies).
   template <typename MakeAcc, typename AccumulateFn, typename MergeFn>
-  auto map_reduce(std::size_t trial_count, std::uint64_t seed,
-                  MakeAcc&& make_acc, AccumulateFn&& accumulate,
-                  MergeFn&& merge) const
+  auto map_reduce(std::string_view tag, std::size_t trial_count,
+                  std::uint64_t seed, MakeAcc&& make_acc,
+                  AccumulateFn&& accumulate, MergeFn&& merge,
+                  const CampaignStreamConfig& stream = {}) const
       -> std::invoke_result_t<MakeAcc&> {
     using Acc = std::invoke_result_t<MakeAcc&>;
-    if (trial_count == 0) return make_acc();
-    const std::vector<CampaignShard> shards =
-        shard_trials(trial_count, shard_budget());
-    std::vector<Acc> accs;
-    accs.reserve(shards.size());
-    for (std::size_t i = 0; i < shards.size(); ++i)
-      accs.push_back(make_acc());
-    run_shards_prepartitioned(shards, [&](std::size_t shard_index) {
-      const CampaignShard& shard = shards[shard_index];
-      for (std::size_t trial = shard.begin; trial < shard.end; ++trial) {
-        Rng rng = Rng::stream(seed, trial);
-        accumulate(accs[shard_index], trial, rng);
-      }
-    });
-    Acc result = std::move(accs.front());
-    for (std::size_t i = 1; i < accs.size(); ++i)
-      merge(result, std::move(accs[i]));
-    return result;
-  }
-
-  /// `map_reduce` with streaming progress and checkpoint/resume. The
-  /// accumulator must merge order-invariantly and be serializable via
-  /// CampaignStateCodec (save_state/restore_state members, or a
-  /// vector of trivially copyable tallies). Results are bit-identical
-  /// to `map_reduce` for every thread count and interruption point.
-  template <typename MakeAcc, typename AccumulateFn, typename MergeFn>
-  auto map_reduce_streamed(std::string_view tag, std::size_t trial_count,
-                           std::uint64_t seed, MakeAcc&& make_acc,
-                           AccumulateFn&& accumulate, MergeFn&& merge,
-                           const CampaignStreamConfig& stream) const
-      -> std::invoke_result_t<MakeAcc&> {
-    using Acc = std::invoke_result_t<MakeAcc&>;
-    if (!stream.streaming_enabled())
-      return map_reduce(trial_count, seed, make_acc, accumulate, merge);
-    if (trial_count == 0) return make_acc();
-    return run_streamed<Acc>(
-        tag, trial_count, seed, make_acc(), make_acc,
+    return run_streamed(
+        tag, trial_count, seed, make_acc, make_acc,
         [&](Acc& acc, const CampaignShard&, std::size_t trial, Rng& rng) {
           accumulate(acc, trial, rng);
         },
@@ -358,35 +225,26 @@ class CampaignRunner {
   }
 
  private:
-  /// Number of shards to cut a batch campaign into: oversubscribed
-  /// relative to the pool so heterogeneous trial costs still balance.
-  std::size_t shard_budget() const noexcept;
-
-  /// Shards [0, trial_count) and dispatches shard bodies to the pool.
-  void run_shards(std::size_t trial_count,
-                  const std::function<void(const CampaignShard&)>& body) const;
-
-  /// Dispatches bodies for an existing shard partition (by index).
-  void run_shards_prepartitioned(
-      const std::vector<CampaignShard>& shards,
-      const std::function<void(std::size_t)>& body) const;
-
-  /// Shared core of the streamed paths: thread-independent partition,
-  /// optional checkpoint resume, per-shard accumulate -> commit into a
+  /// The campaign core: thread-independent partition, optional
+  /// checkpoint resume, per-shard accumulate -> commit into a
   /// StreamingAggregator, periodic checkpoint saves, graceful stop,
   /// and the distributed hooks (shard arbitration + partial-checkpoint
-  /// merge — see src/dist/). `make_partial()` builds a fresh per-shard
-  /// accumulator; `accumulate(acc, shard, trial, rng)` fills it;
-  /// `merge_restored(into, from, from_done, shards)` folds an
-  /// accumulator restored from another process's partial checkpoint
-  /// (full-state, not a per-shard slice) into the merged side.
-  template <typename Acc, typename MakePartial, typename AccumulateFn,
-            typename MergeFn, typename MergeRestoredFn>
+  /// merge — see src/dist/). `make_merged()` builds the empty merged
+  /// side (also the target checkpoint payloads restore into);
+  /// `make_partial()` builds a fresh per-shard accumulator;
+  /// `accumulate(acc, shard, trial, rng)` fills it; `merge(into, from)`
+  /// folds it into the merged side; `merge_restored(into, from,
+  /// from_done, shards)` folds an accumulator restored from another
+  /// process's partial checkpoint (full-state, not a per-shard slice).
+  template <typename MakeMerged, typename MakePartial, typename AccumulateFn,
+            typename MergeFn, typename MergeRestoredFn,
+            typename Acc = std::invoke_result_t<MakeMerged&>>
   Acc run_streamed(std::string_view tag, std::size_t trial_count,
-                   std::uint64_t seed, Acc initial, MakePartial&& make_partial,
-                   AccumulateFn accumulate, MergeFn merge,
-                   MergeRestoredFn merge_restored,
+                   std::uint64_t seed, MakeMerged&& make_merged,
+                   MakePartial&& make_partial, AccumulateFn&& accumulate,
+                   MergeFn&& merge, MergeRestoredFn&& merge_restored,
                    const CampaignStreamConfig& stream) const {
+    if (trial_count == 0) return make_merged();
     const std::vector<CampaignShard> shards =
         shard_trials(trial_count, stream_shard_count(trial_count));
     const std::uint64_t fingerprint = CampaignCheckpoint::fingerprint(
@@ -423,13 +281,13 @@ class CampaignRunner {
         // One decode per partial, one encode for the union.
         const auto merge_payload =
             [&](const std::vector<CampaignCheckpoint::Loaded>& loaded) {
-              Acc merged_acc = initial;
+              Acc merged_acc = make_merged();
               {
                 std::istringstream in(loaded.front().payload);
                 CampaignStateCodec<Acc>::load(in, merged_acc);
               }
               for (std::size_t i = 1; i < loaded.size(); ++i) {
-                Acc partial_acc = initial;
+                Acc partial_acc = make_merged();
                 std::istringstream in(loaded[i].payload);
                 CampaignStateCodec<Acc>::load(in, partial_acc);
                 merge_restored(merged_acc, std::move(partial_acc),
@@ -447,6 +305,7 @@ class CampaignRunner {
     }
 
     // Resume: load merged state + completed-shard bitmap.
+    Acc initial = make_merged();
     std::vector<std::uint8_t> restored(shards.size(), 0);
     if (checkpointing && (stream.resume || !stream.merge_partials.empty())) {
       if (auto loaded = CampaignCheckpoint::load(stream.checkpoint_path)) {
@@ -531,7 +390,7 @@ class CampaignRunner {
       aggregator.commit_shard(shard_index, shard.size(), std::move(acc));
       if (stream.arbiter != nullptr) stream.arbiter->committed(shard_index);
     };
-    run_shards_prepartitioned_indices(pending, run_one_shard);
+    dispatch_shards(pending, run_one_shard);
 
     // Distributed mode: keep draining reclaimed work (shards whose
     // worker died mid-lease) until the arbiter reports the campaign
@@ -545,17 +404,16 @@ class CampaignRunner {
           return aggregator.is_done(shard_index);
         });
         if (!wave.empty())
-          run_shards_prepartitioned_indices(wave, run_one_shard);
+          dispatch_shards(wave, run_one_shard);
       }
     }
     aggregator.finish();
     return aggregator.take();
   }
 
-  /// Dispatches `body` for the listed shard indices only.
-  void run_shards_prepartitioned_indices(
-      const std::vector<std::size_t>& indices,
-      const std::function<void(std::size_t)>& body) const;
+  /// Dispatches `body` for each listed shard index to the pool.
+  void dispatch_shards(const std::vector<std::size_t>& indices,
+                       const std::function<void(std::size_t)>& body) const;
 
   /// Serializes an aggregator snapshot to `path` (atomic replace).
   static void save_checkpoint(

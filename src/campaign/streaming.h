@@ -1,10 +1,11 @@
 #pragma once
 // Streaming partial results for long campaigns.
 //
-// A batch campaign is all-or-nothing: hours of fault injection produce
-// one table at the end, and a crash throws everything away. The
-// streaming layer makes long sweeps incrementally observable and
-// resumable:
+// Without streaming, a campaign is all-or-nothing: hours of fault
+// injection produce one table at the end, and a crash throws
+// everything away. The streaming layer, which every campaign runs
+// through (see campaign_runner.h), makes long sweeps incrementally
+// observable and resumable:
 //
 //   - StreamingAggregator merges per-shard accumulator partials as
 //     shards complete and invokes a progress callback with *consistent*
@@ -19,14 +20,13 @@
 //     which CI's kill-and-resume job and the unit tests use to
 //     interrupt at exact shard boundaries.
 //
-// Determinism contract: shards complete in scheduling order, so the
-// streamed path merges partials in *completion* order (and a resumed
-// run merges into a checkpoint holding an arbitrary subset of shards).
-// Streamed accumulators must therefore be order-invariant merges —
-// integer tallies, disjoint HeatmapGrid cells, Histogram bins, min/max
-// — which is exactly the partition-invariance the batch map_reduce
-// already required, strengthened from "ascending shard order" to "any
-// order". All campaign accumulators in src/experiments satisfy it.
+// Determinism contract: shards complete in scheduling order, so
+// partials merge in *completion* order (and a resumed run merges into
+// a checkpoint holding an arbitrary subset of shards). Campaign
+// accumulators must therefore merge order-invariantly — integer
+// tallies, disjoint HeatmapGrid cells, Histogram bins, min/max — so the
+// result is the same for any thread count, schedule and interruption
+// point. All campaign accumulators in src/experiments satisfy it.
 
 #include <cstddef>
 #include <cstdint>
@@ -106,8 +106,8 @@ class ShardArbiter {
 };
 
 /// Streaming/checkpoint knobs carried by experiment config structs.
-/// Default-constructed, it streams nothing and checkpoints nothing —
-/// the campaign behaves like a plain batch run.
+/// Default-constructed, it reports no progress and checkpoints nothing:
+/// the campaign runs every shard once and returns the merged result.
 struct CampaignStreamConfig {
   /// Invoked with consistent snapshots at shard boundaries, at least
   /// every `progress_every_trials` completed trials (and once at
@@ -143,12 +143,6 @@ struct CampaignStreamConfig {
   /// locally. Paths that do not exist (workers that claimed nothing)
   /// are skipped.
   std::vector<std::string> merge_partials;
-
-  bool streaming_enabled() const noexcept {
-    return (on_progress && progress_every_trials > 0) ||
-           !checkpoint_path.empty() || stop_after_shards > 0 ||
-           arbiter != nullptr || !merge_partials.empty();
-  }
 };
 
 /// Copy of `stream` whose checkpoint file is "<path>.<suffix>" — used

@@ -4,13 +4,14 @@
 // Each registered scenario can attach a cost estimator (see
 // ScenarioSpec::cost) mapping its bound ParamSet to a CostEstimate: a
 // per-process setup term (policy training preambles, never sharded)
-// plus one CampaignCost per streamed campaign the scenario runs. A
+// plus one CampaignCost per trial-grid campaign the scenario runs. A
 // campaign's trials are homogeneous by construction -- heterogeneity in
 // this codebase lives *between* campaigns (NN inference vs gridworld
 // training vs drone rollouts differ by orders of magnitude per trial),
 // not within one -- so a campaign is `trials` copies of one Work
-// vector, and per-shard predictions come from the exact same
-// shard partition the runner uses (stream_shard_count / shard_trials).
+// vector, and per-shard predictions come from the runner's one shard
+// partition (stream_shard_count / shard_trials), which every campaign
+// uses, streamed or not.
 //
 // Consumers:
 //   * `fault_campaign describe --cost <name>` renders the estimate;
@@ -52,7 +53,7 @@ struct Work {
   bool finite() const noexcept;
 };
 
-/// One streamed campaign: `trials` homogeneous trials of `per_trial`
+/// One campaign: `trials` homogeneous trials of `per_trial`
 /// work, partitioned into shards exactly as the campaign runner does.
 struct CampaignCost {
   /// Matches the driver's perf-section name when one exists (e.g.
@@ -69,7 +70,7 @@ struct CampaignCost {
     return perf_trials != 0 ? perf_trials : trials;
   }
 
-  /// The runner's fixed streaming partition for this trial count.
+  /// The runner's fixed shard partition for this trial count.
   std::size_t shard_count() const noexcept;
   double seconds(const MachineProfile& profile) const noexcept;
   /// Predicted wall for shard `index` of shard_count() -- shard sizes

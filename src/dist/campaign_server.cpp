@@ -802,19 +802,29 @@ struct CampaignServer::Impl {
 
   // ---- poll loop ----
 
-  /// Consumes complete frames from the connection's inbox. Returns
-  /// false on a protocol violation (oversized frame) — drop the peer.
+  /// True while an auth-enabled server has not seen this peer's valid
+  /// hello: its frames are bounded by kMaxHelloFrameBytes.
+  bool pre_auth(const Connection& conn) const {
+    return !config.auth_token.empty() && !conn.authed;
+  }
+
+  /// Consumes complete frames from the connection's inbox, then drops
+  /// the consumed prefix once (per-frame erases would make a burst of
+  /// pipelined small frames quadratic). Returns false on a protocol
+  /// violation (oversized frame) — drop the peer.
   bool pump_frames(Connection& conn) {
-    while (conn.inbox.size() >= 4) {
-      std::uint32_t size = 0;
+    std::size_t offset = 0;
+    while (conn.inbox.size() - offset >= 4) {
+      std::size_t size = 0;
       for (int byte = 0; byte < 4; ++byte)
-        size |= static_cast<std::uint32_t>(
-                    static_cast<unsigned char>(conn.inbox[byte]))
+        size |= static_cast<std::size_t>(
+                    static_cast<unsigned char>(conn.inbox[offset + byte]))
                 << (8 * byte);
-      if (size > kMaxFrameBytes) return false;
-      if (conn.inbox.size() < 4 + static_cast<std::size_t>(size)) break;
-      const std::string payload = conn.inbox.substr(4, size);
-      conn.inbox.erase(0, 4 + static_cast<std::size_t>(size));
+      if (size > (pre_auth(conn) ? kMaxHelloFrameBytes : kMaxFrameBytes))
+        return false;
+      if (conn.inbox.size() - offset - 4 < size) break;
+      const std::string payload = conn.inbox.substr(offset + 4, size);
+      offset += 4 + size;
       std::string reply = handle_request(conn, payload);
       // Durability barrier: a transition reaches the disk before its
       // acknowledgment reaches the wire. A crash between the two
@@ -829,6 +839,7 @@ struct CampaignServer::Impl {
       }
       conn.outbox += frame(reply);
     }
+    conn.inbox.erase(0, offset);
     return true;
   }
 
@@ -877,6 +888,11 @@ struct CampaignServer::Impl {
             const ssize_t got = ::recv(conn.fd, chunk, sizeof chunk, 0);
             if (got > 0) {
               conn.inbox.append(chunk, static_cast<std::size_t>(got));
+              // An unauthenticated peer gets at most one hello's worth
+              // of buffer before its frames are checked.
+              if (pre_auth(conn) &&
+                  conn.inbox.size() > 4 + kMaxHelloFrameBytes)
+                break;
               continue;
             }
             if (got == 0) drop = true;  // orderly shutdown
@@ -908,6 +924,10 @@ struct CampaignServer::Impl {
 
 CampaignServer::CampaignServer(CampaignServerConfig config)
     : impl_(std::make_unique<Impl>()) {
+  if (config.auth_token.size() > kMaxAuthTokenBytes)
+    throw std::invalid_argument(
+        "campaign server: session token longer than " +
+        std::to_string(kMaxAuthTokenBytes) + " bytes");
   impl_->config = std::move(config);
 }
 

@@ -179,12 +179,12 @@ std::string_view sched_policy_name(DistConfig::SchedPolicy policy);
 std::string dist_queue_label(const DistConfig& config,
                              std::string_view tag);
 
-/// Applies a DistConfig to one streamed campaign, scoped RAII-style
-/// around the map_streamed / map_reduce_streamed call:
+/// Applies a DistConfig to one campaign, scoped RAII-style around the
+/// CampaignRunner::map / map_reduce call:
 ///
 ///   CampaignStreamConfig stream = config.stream;
 ///   DistCampaign dist(config.dist, stream_tag, stream);
-///   auto result = runner.map_reduce_streamed(stream_tag, ..., stream);
+///   auto result = runner.map_reduce(stream_tag, ..., stream);
 ///
 /// Worker role: redirects the checkpoint to the worker's partial file
 /// (checkpoint_every_shards = 1 so every committed shard is durable

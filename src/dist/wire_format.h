@@ -54,6 +54,14 @@ enum Status : unsigned char {
 
 constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 28;
 
+/// Longest session token a server accepts, and with it the largest
+/// valid hello frame payload (opcode + u64 length + token). Before a
+/// client on an auth-enabled server has authenticated, any larger
+/// frame is a protocol violation and drops the connection, so an
+/// unauthenticated peer can never make the server buffer more.
+constexpr std::size_t kMaxAuthTokenBytes = 4096;
+constexpr std::size_t kMaxHelloFrameBytes = 1 + 8 + kMaxAuthTokenBytes;
+
 inline std::string frame(const std::string& payload) {
   std::string framed;
   framed.reserve(4 + payload.size());

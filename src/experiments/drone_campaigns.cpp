@@ -73,11 +73,11 @@ std::string inference_stream_tag(const std::string& base,
 /// the shard's resident cache — `engine_key(row)` names the slot (rows
 /// needing differently-configured engines get distinct keys),
 /// `engine_for(row)` builds it, and the FTNAV_TRIAL_BATCH policy says
-/// when to rebuild (0 = resident, 1 = legacy fresh engine per cell,
-/// k = every k cells). reset_faults()'s golden restore keeps every
-/// policy bit-identical. `arm(row, ber, engine, rng)` draws the cell's
-/// fault instance per repeat. Cells at BER <= 0 share one fixed
-/// baseline stream so every row reports identical fault-free rollouts.
+/// when to rebuild (0 = resident, 1 = fresh engine per cell).
+/// reset_faults()'s golden restore keeps both policies bit-identical.
+/// `arm(row, ber, engine, rng)` draws the cell's fault instance per
+/// repeat. Cells at BER <= 0 share one fixed baseline stream so every
+/// row reports identical fault-free rollouts.
 template <typename EngineFor, typename KeyFn, typename ArmFn>
 std::vector<std::vector<double>> sweep_msf_grid(
     const DroneInferenceCampaignConfig& config, std::uint64_t tag,
@@ -92,7 +92,7 @@ std::vector<std::vector<double>> sweep_msf_grid(
   DistCampaign dist(config.dist, stream_tag, stream);
   const int trial_batch = resolve_trial_batch(config.trial_batch);
   const double trials_started = perf::now();
-  const std::vector<double> cells = runner.map_streamed_scratch(
+  const std::vector<double> cells = runner.map(
       stream_tag, row_count * ber_count, config.seed ^ tag,
       [] { return EngineCache(); },
       [&](std::size_t trial, Rng& trial_rng, EngineCache& engines) {
@@ -220,7 +220,7 @@ DroneTrainingCampaignResult run_drone_training_campaign(
       with_checkpoint_suffix(config.stream, "transient");
   {
     DistCampaign dist(config.dist, transient_tag, transient_stream);
-    result.transient = runner.map_reduce_streamed(
+    result.transient = runner.map_reduce(
         transient_tag, rows * cols, config.seed ^ 0x7a,
         [&] { return HeatmapGrid(row_labels, col_labels); },
         [&](HeatmapGrid& acc, std::size_t trial, Rng& rng) {
@@ -243,7 +243,7 @@ DroneTrainingCampaignResult run_drone_training_campaign(
   CampaignStreamConfig flat_stream =
       with_checkpoint_suffix(config.stream, "flat");
   DistCampaign flat_dist(config.dist, flat_tag, flat_stream);
-  const std::vector<double> flat = runner.map_streamed(
+  const std::vector<double> flat = runner.map(
       flat_tag, 1 + 2 * cols, config.seed ^ 0x7a5a,
       [&](std::size_t trial, Rng& rng) {
         if (trial == 0)
@@ -275,15 +275,20 @@ EnvironmentSweepResult run_environment_sweep(
     result.environments.push_back(world.name());
 
   const CampaignRunner runner(config.threads);
+  const int trial_batch = resolve_trial_batch(config.trial_batch);
 
   // Phase 1: per-environment policy training in parallel. Training is
   // deterministic in (world, spec), so the trial stream goes unused.
+  // Bundles are not checkpointable: each trial fills its caller-owned
+  // slot, and the campaign runs without the grid's stream config.
   std::vector<DronePolicyBundle> bundles(worlds.size());
-  runner.for_each(worlds.size(), config.seed ^ 0x7b00,
-                  [&](std::size_t env, Rng&) {
-                    bundles[env] = train_drone_policy(worlds[env],
-                                                      config.policy);
-                  });
+  (void)runner.map(inference_stream_tag("drone-env-train", config, nullptr),
+                   worlds.size(), config.seed ^ 0x7b00,
+                   [&](std::size_t env, Rng&) -> char {
+                     bundles[env] =
+                         train_drone_policy(worlds[env], config.policy);
+                     return 1;
+                   });
 
   // Phase 2: flat (environment, BER) cell grid over shard-resident
   // engines — one cache slot per environment, since each environment
@@ -295,9 +300,8 @@ EnvironmentSweepResult run_environment_sweep(
       inference_stream_tag("drone-env-sweep", config, nullptr);
   CampaignStreamConfig stream = config.stream;
   DistCampaign dist(config.dist, stream_tag, stream);
-  const int trial_batch = resolve_trial_batch(config.trial_batch);
   const double trials_started = perf::now();
-  const std::vector<double> cells = runner.map_streamed_scratch(
+  const std::vector<double> cells = runner.map(
       stream_tag, worlds.size() * ber_count, config.seed ^ 0x7b,
       [] { return EngineCache(); },
       [&](std::size_t trial, Rng& trial_rng, EngineCache& engines) {
@@ -460,7 +464,7 @@ DroneMitigationResult run_drone_mitigation_comparison(
   DistCampaign dist(config.dist, stream_tag, stream);
   const int trial_batch = resolve_trial_batch(config.trial_batch);
   const double trials_started = perf::now();
-  const std::vector<Cell> cells = runner.map_streamed_scratch(
+  const std::vector<Cell> cells = runner.map(
       stream_tag, 2 * ber_count, config.seed ^ 0x7f,
       [] { return EngineCache(); },
       [&](std::size_t trial, Rng& trial_rng, EngineCache& engines) {

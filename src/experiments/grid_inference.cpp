@@ -184,19 +184,6 @@ struct InferenceAccum {
   explicit InferenceAccum(std::size_t cells)
       : successes(cells, 0), detections(cells, 0) {}
 
-  // Copies transfer the tallies only — the engine cache is rebuilt
-  // lazily on first use (the runner copies the initial accumulator).
-  InferenceAccum(const InferenceAccum& other)
-      : successes(other.successes), detections(other.detections) {}
-  InferenceAccum& operator=(const InferenceAccum& other) {
-    successes = other.successes;
-    detections = other.detections;
-    engine_slot.reset();
-    return *this;
-  }
-  InferenceAccum(InferenceAccum&&) = default;
-  InferenceAccum& operator=(InferenceAccum&&) = default;
-
   void merge(const InferenceAccum& other) {
     for (std::size_t i = 0; i < successes.size(); ++i) {
       successes[i] += other.successes[i];
@@ -323,7 +310,7 @@ InferenceCampaignResult run_inference_campaign(
       calibrated.finalize();
     }
 
-    totals = runner.map_reduce_streamed(
+    totals = runner.map_reduce(
         stream_tag, cell_count * repeat_count, config.seed ^ 0xabcd,
         [&] { return InferenceAccum(cell_count); },
         [&](InferenceAccum& acc, std::size_t trial, Rng& rng) {
@@ -348,13 +335,13 @@ InferenceCampaignResult run_inference_campaign(
     const QFormat format = trained.mlp->weights().format();
     const Shape input_shape{trained.env.state_count(), 1, 1};
     // Engine reuse policy: 0 = one engine per shard (fast default),
-    // 1 = legacy fresh-engine-per-trial, k = rebuild every k trials.
-    // reset_faults() restores the golden word image bit-exactly, so
-    // every policy yields identical results (see BatchInvariance in
-    // tests/test_quantized_engine.cpp and the CI determinism leg).
+    // 1 = fresh engine per trial. reset_faults() restores the golden
+    // word image bit-exactly, so both yield identical results (see
+    // PersistentEngineMatchesFreshEngine in tests/test_quantized_engine.cpp
+    // and the CI determinism leg).
     const int trial_batch = resolve_trial_batch(config.trial_batch);
 
-    totals = runner.map_reduce_streamed(
+    totals = runner.map_reduce(
         stream_tag, cell_count * repeat_count, config.seed ^ 0xabcd,
         [&] { return InferenceAccum(cell_count); },
         [&](InferenceAccum& acc, std::size_t trial, Rng& rng) {

@@ -172,7 +172,7 @@ HeatmapGrid run_transient_training_heatmap(
   CampaignStreamConfig stream =
       with_checkpoint_suffix(config.stream, "transient");
   DistCampaign dist(config.dist, stream_tag, stream);
-  const std::vector<int> successes = runner.map_reduce_streamed(
+  const std::vector<int> successes = runner.map_reduce(
       stream_tag, cell_count * repeats, config.seed,
       [&] { return std::vector<int>(cell_count, 0); },
       [&](std::vector<int>& acc, std::size_t trial, Rng& rng) {
@@ -222,7 +222,7 @@ PermanentTrainingSweep run_permanent_training_sweep(
   CampaignStreamConfig stream =
       with_checkpoint_suffix(config.stream, "permanent");
   DistCampaign dist(config.dist, stream_tag, stream);
-  const std::vector<int> successes = runner.map_reduce_streamed(
+  const std::vector<int> successes = runner.map_reduce(
       stream_tag, 2 * ber_count * repeats, config.seed ^ 0x9e37,
       [&] { return std::vector<int>(2 * ber_count, 0); },
       [&](std::vector<int>& acc, std::size_t trial, Rng& rng) {
@@ -341,6 +341,7 @@ TransientConvergenceResult run_transient_convergence(
   const auto repeat_count = static_cast<std::size_t>(repeats);
   const CampaignRunner runner(threads);
   const std::vector<int> recoveries = runner.map(
+      "grid-training/transient-convergence/" + to_string(kind),
       bers.size() * repeat_count, seed ^ 0xc0ffee,
       [&](std::size_t trial, Rng& rng) {
         GridTrainSpec spec;
@@ -383,6 +384,7 @@ PermanentConvergenceResult run_permanent_convergence(
   const auto repeat_count = static_cast<std::size_t>(repeats);
   const CampaignRunner runner(threads);
   const std::vector<char> successes = runner.map(
+      "grid-training/permanent-convergence/" + to_string(kind),
       bers.size() * 4 * repeat_count, seed ^ 0xdead,
       [&](std::size_t trial, Rng& rng) -> char {
         const std::size_t cell = trial / repeat_count;
@@ -430,6 +432,7 @@ std::vector<ExplorationStudyRow> run_exploration_study(
   const auto repeat_count = static_cast<std::size_t>(repeats);
   const CampaignRunner runner(threads);
   const std::vector<Telemetry> trials = runner.map(
+      "grid-training/exploration-study/" + to_string(kind),
       types.size() * bers.size() * repeat_count, seed ^ 0xfeed,
       [&](std::size_t trial, Rng& rng) {
         const std::size_t cell = trial / repeat_count;

@@ -10,13 +10,12 @@
 // of once per trial. This header factors that pattern out for every
 // campaign family:
 //
-//   * EngineSlot  -- one resident engine plus its reuse counter;
+//   * EngineSlot  -- one resident engine;
 //   * EngineCache -- slots keyed by row configuration, for sweeps
 //     whose rows need differently-configured engines (network,
 //     QFormat, detector/mitigation setup);
 //   * resolve_trial_batch -- the FTNAV_TRIAL_BATCH policy shared by
-//     all drivers: 0 = resident (default), 1 = legacy rebuild per
-//     trial, k = rebuild every k trials.
+//     all drivers: 0 = resident (default), 1 = rebuild per trial.
 //
 // Residency is bit-transparent by construction: reset_faults()
 // restores the golden weight words and clears every dynamic fault
@@ -33,7 +32,6 @@
 // byte-identical with and without them.
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -44,26 +42,20 @@ namespace ftnav {
 
 /// Resolves a campaign's engine-reuse policy: a non-negative config
 /// value wins, otherwise the FTNAV_TRIAL_BATCH environment knob
-/// (default 0 = resident).
+/// (default 0 = resident). Values other than 0 and 1 throw
+/// std::invalid_argument naming the valid values.
 int resolve_trial_batch(int config_value);
 
-/// One shard-resident engine plus its reuse counter.
+/// One shard-resident engine.
 struct EngineSlot {
   std::unique_ptr<QuantizedInferenceEngine> engine;
-  std::uint64_t trials_used = 0;
 
   /// Returns the resident engine, (re)building it via `build` (which
-  /// returns a unique_ptr) when the slot is empty or the reuse policy
-  /// says its batch is exhausted. Counts this acquisition.
+  /// returns a unique_ptr) when the slot is empty or `trial_batch` is 1
+  /// (fresh engine per acquisition).
   template <typename BuildFn>
   QuantizedInferenceEngine& acquire(int trial_batch, BuildFn&& build) {
-    if (!engine ||
-        (trial_batch > 0 &&
-         trials_used >= static_cast<std::uint64_t>(trial_batch))) {
-      engine = std::forward<BuildFn>(build)();
-      trials_used = 0;
-    }
-    ++trials_used;
+    if (!engine || trial_batch == 1) engine = std::forward<BuildFn>(build)();
     return *engine;
   }
 };

@@ -97,8 +97,8 @@ const std::vector<EnvKnob>& declared_env_knobs() {
       {"FTNAV_SIMD",
        "kernel backend: scalar|avx2|neon|auto (results identical)"},
       {"FTNAV_TRIAL_BATCH",
-       "NN trials per engine rebuild; 0 = one engine per shard "
-       "(results identical)"},
+       "NN engine reuse: 0 = one engine per shard, 1 = fresh engine "
+       "per trial (results identical)"},
       {"FTNAV_PERF_DIR", "write BENCH_*.json perf records here"},
       {"FTNAV_GIT_SHA", "git sha recorded in perf records"},
       {"FTNAV_TRACE_DIR",

@@ -5,17 +5,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <filesystem>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "campaign/campaign_runner.h"
 #include "campaign/worker_pool.h"
 #include "experiments/drone_campaigns.h"
 #include "experiments/grid_inference.h"
 #include "experiments/grid_training.h"
+#include "obs/shard_timing.h"
+#include "obs/trace.h"
 #include "util/env_config.h"
 #include "util/histogram.h"
 
@@ -82,34 +89,39 @@ TEST(CampaignRunner, MapIsThreadCountInvariant) {
     for (int draw = 0; draw < 100; ++draw) acc += rng.uniform();
     return acc;
   };
-  const std::vector<double> serial = CampaignRunner(1).map(97, 5, trial);
+  const std::vector<double> serial =
+      CampaignRunner(1).map("test-map", 97, 5, trial);
   const std::vector<double> parallel =
-      CampaignRunner(parallel_threads()).map(97, 5, trial);
+      CampaignRunner(parallel_threads()).map("test-map", 97, 5, trial);
   EXPECT_EQ(serial, parallel);  // bit-identical, not approximately equal
 }
 
 TEST(CampaignRunner, MapHandlesGridSmallerThanPool) {
   const CampaignRunner runner(8);
-  const std::vector<double> two =
-      runner.map(2, 11, [](std::size_t, Rng& rng) { return rng.uniform(); });
+  const auto draw = [](std::size_t, Rng& rng) { return rng.uniform(); };
+  const std::vector<double> two = runner.map("test-two", 2, 11, draw);
   ASSERT_EQ(two.size(), 2u);
-  const std::vector<double> empty =
-      runner.map(0, 11, [](std::size_t, Rng& rng) { return rng.uniform(); });
+  const std::vector<double> empty = runner.map("test-empty", 0, 11, draw);
   EXPECT_TRUE(empty.empty());
 }
 
-TEST(CampaignRunner, ForEachVisitsEveryTrialExactlyOnce) {
+TEST(CampaignRunner, MapVisitsEveryTrialExactlyOnce) {
   const CampaignRunner runner(4);
   std::vector<std::atomic<int>> visits(101);
-  runner.for_each(101, 3,
-                  [&](std::size_t trial, Rng&) { ++visits[trial]; });
+  const std::vector<std::size_t> trials =
+      runner.map("test-visits", 101, 3, [&](std::size_t trial, Rng&) {
+        ++visits[trial];
+        return trial;
+      });
   for (const auto& count : visits) EXPECT_EQ(count.load(), 1);
+  for (std::size_t trial = 0; trial < trials.size(); ++trial)
+    EXPECT_EQ(trials[trial], trial);
 }
 
 TEST(CampaignRunner, MapReduceMergesHistogramShards) {
   const auto run_with = [](int threads) {
     return CampaignRunner(threads).map_reduce(
-        500, 17, [] { return Histogram(0.0, 1.0, 10); },
+        "test-histogram", 500, 17, [] { return Histogram(0.0, 1.0, 10); },
         [](Histogram& acc, std::size_t, Rng& rng) { acc.add(rng.uniform()); },
         [](Histogram& into, Histogram&& from) { into.merge(from); });
   };
@@ -125,20 +137,21 @@ TEST(CampaignRunner, MapReduceMergesHistogramShards) {
 
 TEST(CampaignRunner, WorkerExceptionPropagatesToCaller) {
   const CampaignRunner runner(4);
-  EXPECT_THROW(
-      runner.for_each(64, 1,
-                      [](std::size_t trial, Rng&) {
-                        if (trial == 13)
-                          throw std::runtime_error("injected failure");
-                      }),
-      std::runtime_error);
+  EXPECT_THROW((void)runner.map("test-throw", 64, 1,
+                                [](std::size_t trial, Rng&) {
+                                  if (trial == 13)
+                                    throw std::runtime_error(
+                                        "injected failure");
+                                  return 0;
+                                }),
+               std::runtime_error);
 }
 
 TEST(CampaignRunner, ExceptionAbortsRemainingShards) {
   const CampaignRunner runner(2);
   std::atomic<int> executed{0};
   try {
-    runner.for_each(1000, 1, [&](std::size_t, Rng&) {
+    (void)runner.map("test-abort", 1000, 1, [&](std::size_t, Rng&) -> int {
       ++executed;
       throw std::runtime_error("boom");
     });
@@ -147,6 +160,50 @@ TEST(CampaignRunner, ExceptionAbortsRemainingShards) {
   }
   // At most one trial per in-flight shard ran; the rest were skipped.
   EXPECT_LT(executed.load(), 1000);
+}
+
+// ---- one shard partition for every campaign -----------------------------
+
+/// (shard id, trials) of every timing record an unstreamed map_reduce
+/// leaves under an active trace session, sorted by shard id.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> traced_shards(
+    int threads, std::size_t trials) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("ftnav_campaign_timings_" + std::to_string(threads));
+  std::filesystem::create_directories(dir);
+  obs::clear_shard_timings();
+  {
+    obs::TraceSession session(dir.string());
+    (void)CampaignRunner(threads).map_reduce(
+        "test-timings", trials, 3, [] { return std::vector<int>{0}; },
+        [](std::vector<int>& acc, std::size_t, Rng&) { ++acc[0]; },
+        [](std::vector<int>& into, std::vector<int>&& from) {
+          into[0] += from[0];
+        });
+  }
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> shards;
+  for (const obs::ShardTiming& record :
+       obs::snapshot_shard_timings("test-timings"))
+    shards.emplace_back(record.shard_id, record.trials);
+  obs::clear_shard_timings();
+  std::filesystem::remove_all(dir);
+  std::sort(shards.begin(), shards.end());
+  return shards;
+}
+
+TEST(CampaignRunner, UnstreamedCampaignTimesEveryStreamShardOnce) {
+  constexpr std::size_t kTrials = 1000;
+  const std::vector<CampaignShard> partition =
+      shard_trials(kTrials, stream_shard_count(kTrials));
+  const auto serial = traced_shards(1, kTrials);
+  ASSERT_EQ(serial.size(), partition.size());
+  for (std::size_t shard = 0; shard < partition.size(); ++shard) {
+    EXPECT_EQ(serial[shard].first, shard);
+    EXPECT_EQ(serial[shard].second, partition[shard].size());
+  }
+  // The partition is a function of the trial count alone.
+  EXPECT_EQ(traced_shards(4, kTrials), serial);
 }
 
 // ---- persistent worker pool ---------------------------------------------
@@ -164,9 +221,9 @@ TEST(WorkerPoolTest, ReusesWorkersAcrossCampaignPhases) {
   // same parked workers instead of respawning threads per phase.
   WorkerPool& pool = WorkerPool::instance();
   const auto phase = [](std::uint64_t seed) {
-    return CampaignRunner(4).map(64, seed, [](std::size_t, Rng& rng) {
-      return rng.uniform();
-    });
+    return CampaignRunner(4).map(
+        "test-phase", 64, seed,
+        [](std::size_t, Rng& rng) { return rng.uniform(); });
   };
   (void)phase(1);  // pool is warm after the first phase
   const WorkerPool::Stats warm = pool.stats();
@@ -174,9 +231,11 @@ TEST(WorkerPoolTest, ReusesWorkersAcrossCampaignPhases) {
   (void)phase(3);
   const CampaignRunner runner(4);
   (void)runner.map_reduce(
-      100, 4, [] { return 0; },
-      [](int& acc, std::size_t, Rng&) { ++acc; },
-      [](int& into, int&& from) { into += from; });
+      "test-count", 100, 4, [] { return std::vector<int>{0}; },
+      [](std::vector<int>& acc, std::size_t, Rng&) { ++acc[0]; },
+      [](std::vector<int>& into, std::vector<int>&& from) {
+        into[0] += from[0];
+      });
   const WorkerPool::Stats after = pool.stats();
   EXPECT_EQ(after.workers_spawned, warm.workers_spawned);
   EXPECT_GE(after.regions_run, warm.regions_run + 3);
@@ -208,10 +267,10 @@ TEST(WorkerPoolTest, NestedCampaignRunsInlineWithoutDeadlock) {
   // A trial that itself runs a campaign must not re-enter the pool.
   const CampaignRunner outer(4);
   const std::vector<double> totals =
-      outer.map(8, 5, [](std::size_t, Rng&) {
+      outer.map("test-outer", 8, 5, [](std::size_t, Rng&) {
         const CampaignRunner inner(4);
         const std::vector<double> draws =
-            inner.map(16, 9, [](std::size_t, Rng& rng) {
+            inner.map("test-inner", 16, 9, [](std::size_t, Rng& rng) {
               return rng.uniform();
             });
         double total = 0.0;

@@ -328,7 +328,7 @@ constexpr const char* kTag = "test-cost-histogram";
 
 Histogram run_campaign(const CampaignStreamConfig& stream) {
   const CampaignRunner runner(1);
-  return runner.map_reduce_streamed(
+  return runner.map_reduce(
       kTag, kTrials, kSeed, [] { return Histogram(0.0, 3.0, 12); },
       [](Histogram& acc, std::size_t trial, Rng& rng) {
         for (int draw = 0; draw < 3; ++draw)

@@ -244,7 +244,7 @@ constexpr const char* kTag = "test-dist-histogram";
 /// the single-process result exactly.
 Histogram run_campaign(const CampaignStreamConfig& stream) {
   const CampaignRunner runner(1);
-  return runner.map_reduce_streamed(
+  return runner.map_reduce(
       kTag, kTrials, kSeed, [] { return Histogram(0.0, 3.0, 12); },
       [](Histogram& acc, std::size_t trial, Rng& rng) {
         for (int draw = 0; draw < 3; ++draw)
@@ -370,13 +370,13 @@ TEST(DistCampaignE2E, RespawnedWorkerResumesItsOwnPartial) {
 }
 
 TEST(DistCampaignE2E, MapStreamedPartialsMergeByTrialRange) {
-  // map_streamed partials store full-size results vectors; the merge
+  // map partials store full-size results vectors; the merge
   // must copy exactly the trial ranges each worker's bitmap owns.
   const auto trial_fn = [](std::size_t trial, Rng& rng) {
     return static_cast<double>(trial) + rng.uniform();
   };
   const CampaignRunner runner(1);
-  const std::vector<double> reference = runner.map_streamed(
+  const std::vector<double> reference = runner.map(
       "test-dist-map", 150, 77, trial_fn, CampaignStreamConfig{});
 
   ScratchDir scratch("e2e_map");
@@ -389,7 +389,7 @@ TEST(DistCampaignE2E, MapStreamedPartialsMergeByTrialRange) {
     config.poll_period_seconds = 0.01;
     CampaignStreamConfig stream;
     DistCampaign dist(config, "test-dist-map", stream);
-    (void)runner.map_streamed("test-dist-map", 150, 77, trial_fn, stream);
+    (void)runner.map("test-dist-map", 150, 77, trial_fn, stream);
   };
   std::thread other([&] { worker(1); });
   worker(0);
@@ -402,7 +402,7 @@ TEST(DistCampaignE2E, MapStreamedPartialsMergeByTrialRange) {
   stream.checkpoint_path = scratch.path + "/merged.ckpt";
   DistCampaign dist(finalize, "test-dist-map", stream);
   const std::vector<double> merged =
-      runner.map_streamed("test-dist-map", 150, 77, trial_fn, stream);
+      runner.map("test-dist-map", 150, 77, trial_fn, stream);
   EXPECT_EQ(merged, reference);  // bit-identical doubles
 }
 

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -135,21 +136,33 @@ TEST(DroneCampaign, MitigationComparisonPopulatesBothArms) {
 //
 // The sweep drivers cache engines inside each shard (nn/engine_slot.h):
 // trial_batch 0 keeps one resident engine per row configuration, 1
-// reproduces the legacy fresh-engine-per-cell driver, and k rebuilds
-// every k cells. reset_faults() restores the golden word image at the
-// top of every rollout, so no fault state may leak between trials:
-// results, detector counts, and checkpoint bytes must all be identical
-// for every setting.
+// builds a fresh engine per cell. reset_faults() restores the golden
+// word image at the top of every rollout, so no fault state may leak
+// between trials: results, detector counts, and checkpoint bytes must
+// all be identical for both settings.
 
 TEST(DroneCampaign, TrialBatchSettingsAreBitIdentical) {
   const DroneWorld world = DroneWorld::indoor_long();
   DroneInferenceCampaignConfig config = tiny_campaign();
-  config.trial_batch = 1;  // legacy: fresh engine per sweep cell
-  const LocationSweepResult legacy = run_location_sweep(world, config);
-  for (int trial_batch : {0, 7}) {
-    config.trial_batch = trial_batch;
-    const LocationSweepResult resident = run_location_sweep(world, config);
-    EXPECT_EQ(resident.msf, legacy.msf) << "trial_batch=" << trial_batch;
+  config.trial_batch = 1;  // fresh engine per sweep cell
+  const LocationSweepResult fresh = run_location_sweep(world, config);
+  config.trial_batch = 0;
+  const LocationSweepResult resident = run_location_sweep(world, config);
+  EXPECT_EQ(resident.msf, fresh.msf);
+}
+
+TEST(DroneCampaign, TrialBatchRejectsValuesOtherThanZeroAndOne) {
+  const DroneWorld world = DroneWorld::indoor_long();
+  DroneInferenceCampaignConfig config = tiny_campaign();
+  config.trial_batch = 7;
+  try {
+    (void)run_location_sweep(world, config);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("7"), std::string::npos) << message;
+    EXPECT_NE(message.find("0 ("), std::string::npos) << message;
+    EXPECT_NE(message.find("1 ("), std::string::npos) << message;
   }
 }
 
@@ -160,19 +173,14 @@ TEST(DroneCampaign, MitigationDetectionsSurviveResidency) {
   const DroneWorld world = DroneWorld::indoor_long();
   DroneInferenceCampaignConfig config = tiny_campaign();
   config.trial_batch = 1;
-  const DroneMitigationResult legacy =
+  const DroneMitigationResult fresh =
       run_drone_mitigation_comparison(world, config);
-  for (int trial_batch : {0, 7}) {
-    config.trial_batch = trial_batch;
-    const DroneMitigationResult resident =
-        run_drone_mitigation_comparison(world, config);
-    EXPECT_EQ(resident.baseline_msf, legacy.baseline_msf)
-        << "trial_batch=" << trial_batch;
-    EXPECT_EQ(resident.mitigated_msf, legacy.mitigated_msf)
-        << "trial_batch=" << trial_batch;
-    EXPECT_EQ(resident.detections, legacy.detections)
-        << "trial_batch=" << trial_batch;
-  }
+  config.trial_batch = 0;
+  const DroneMitigationResult resident =
+      run_drone_mitigation_comparison(world, config);
+  EXPECT_EQ(resident.baseline_msf, fresh.baseline_msf);
+  EXPECT_EQ(resident.mitigated_msf, fresh.mitigated_msf);
+  EXPECT_EQ(resident.detections, fresh.detections);
 }
 
 TEST(DroneCampaign, TrialBatchCheckpointBytesAreIdentical) {
@@ -181,7 +189,7 @@ TEST(DroneCampaign, TrialBatchCheckpointBytesAreIdentical) {
   // disk must be byte-for-byte independent of trial_batch.
   const DroneWorld world = DroneWorld::indoor_long();
   std::vector<std::string> checkpoints;
-  for (int trial_batch : {1, 0, 7}) {
+  for (int trial_batch : {1, 0}) {
     const std::string path =
         (std::filesystem::temp_directory_path() /
          ("ftnav_test_drone_batch_" + std::to_string(trial_batch) + ".ckpt"))
@@ -199,10 +207,9 @@ TEST(DroneCampaign, TrialBatchCheckpointBytesAreIdentical) {
     checkpoints.push_back(bytes.str());
     std::filesystem::remove(path);
   }
-  ASSERT_EQ(checkpoints.size(), 3u);
+  ASSERT_EQ(checkpoints.size(), 2u);
   EXPECT_FALSE(checkpoints[0].empty());
   EXPECT_EQ(checkpoints[0], checkpoints[1]);
-  EXPECT_EQ(checkpoints[0], checkpoints[2]);
 }
 
 TEST(DroneTrainingCampaign, HeatmapAndPermanentRows) {

@@ -41,6 +41,13 @@ struct ScratchFile {
   }
 };
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 // ---- util state serialization -------------------------------------------
 
 TEST(StateSerialization, HistogramRoundTripsExactly) {
@@ -236,7 +243,7 @@ Histogram run_histogram_campaign(int threads,
                                  std::size_t trials = 300,
                                  std::uint64_t seed = 123) {
   const CampaignRunner runner(threads);
-  return runner.map_reduce_streamed(
+  return runner.map_reduce(
       "test-histogram", trials, seed,
       [] { return Histogram(0.0, 3.0, 12); },
       [](Histogram& acc, std::size_t trial, Rng& rng) {
@@ -284,14 +291,14 @@ TEST(CheckpointResume, MapStreamedBitIdenticalAfterInterrupt) {
     return static_cast<double>(trial) + rng.uniform();
   };
   const CampaignRunner baseline_runner(3);
-  const std::vector<double> uninterrupted = baseline_runner.map_streamed(
+  const std::vector<double> uninterrupted = baseline_runner.map(
       "test-map", 150, 77, trial_fn, CampaignStreamConfig{});
 
   ScratchFile scratch("resume_map");
   CampaignStreamConfig interrupted;
   interrupted.checkpoint_path = scratch.path;
   interrupted.stop_after_shards = 20;
-  EXPECT_THROW(CampaignRunner(2).map_streamed("test-map", 150, 77, trial_fn,
+  EXPECT_THROW(CampaignRunner(2).map("test-map", 150, 77, trial_fn,
                                               interrupted),
                CampaignInterrupted);
 
@@ -299,8 +306,51 @@ TEST(CheckpointResume, MapStreamedBitIdenticalAfterInterrupt) {
   resume.checkpoint_path = scratch.path;
   resume.resume = true;
   const std::vector<double> resumed =
-      CampaignRunner(1).map_streamed("test-map", 150, 77, trial_fn, resume);
+      CampaignRunner(1).map("test-map", 150, 77, trial_fn, resume);
   EXPECT_EQ(resumed, uninterrupted);  // bit-identical doubles
+}
+
+TEST(CheckpointResume, MapScratchBitIdenticalAfterInterrupt) {
+  // The scratch form of map: each shard owns a trial counter the trial
+  // function bumps but never reads into its result, so neither the
+  // results nor the checkpoint bytes may depend on it.
+  struct Scratch {
+    std::size_t trials_seen = 0;
+  };
+  const auto make_scratch = [] { return Scratch{}; };
+  const auto trial_fn = [](std::size_t trial, Rng& rng, Scratch& scratch) {
+    ++scratch.trials_seen;
+    return static_cast<double>(trial) + rng.uniform();
+  };
+  const std::vector<double> uninterrupted = CampaignRunner(1).map(
+      "test-map-scratch", 150, 77, make_scratch, trial_fn);
+
+  ScratchFile plain("resume_map_scratch_plain");
+  CampaignStreamConfig checkpointed;
+  checkpointed.checkpoint_path = plain.path;
+  (void)CampaignRunner(1).map(
+      "test-map-scratch", 150, 77,
+      [](std::size_t trial, Rng& rng) {
+        return static_cast<double>(trial) + rng.uniform();
+      },
+      checkpointed);
+
+  ScratchFile scratch("resume_map_scratch");
+  CampaignStreamConfig interrupted;
+  interrupted.checkpoint_path = scratch.path;
+  interrupted.stop_after_shards = 20;
+  EXPECT_THROW((void)CampaignRunner(1).map("test-map-scratch", 150, 77,
+                                           make_scratch, trial_fn,
+                                           interrupted),
+               CampaignInterrupted);
+
+  CampaignStreamConfig resume;
+  resume.checkpoint_path = scratch.path;
+  resume.resume = true;
+  const std::vector<double> resumed = CampaignRunner(4).map(
+      "test-map-scratch", 150, 77, make_scratch, trial_fn, resume);
+  EXPECT_EQ(resumed, uninterrupted);  // bit-identical doubles
+  EXPECT_EQ(read_file(scratch.path), read_file(plain.path));
 }
 
 TEST(CheckpointResume, ResumeOfCompletedCampaignSkipsAllWork) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -20,14 +21,18 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 #endif
 
 #include "campaign/campaign_runner.h"
 #include "campaign/streaming.h"
+#include "dist/campaign_server.h"
 #include "dist/dist_campaign.h"
 #include "dist/shard_transport.h"
 #include "dist/tcp_transport.h"
+#include "dist/wire_format.h"
+#include "util/binary_io.h"
 #include "util/clock.h"
 #include "util/histogram.h"
 
@@ -88,7 +93,7 @@ constexpr const char* kTag = "test-transport-histogram";
 /// transport must reproduce the single-process result exactly.
 Histogram run_campaign(const CampaignStreamConfig& stream) {
   const CampaignRunner runner(1);
-  return runner.map_reduce_streamed(
+  return runner.map_reduce(
       kTag, kTrials, kSeed, [] { return Histogram(0.0, 3.0, 12); },
       [](Histogram& acc, std::size_t trial, Rng& rng) {
         for (int draw = 0; draw < 3; ++draw)
@@ -503,6 +508,142 @@ TEST(TcpWorkServerTest, CoordinatorReclaimDispatchesOverTcp) {
   config.queue_addr = server.address();
   EXPECT_EQ(reclaim_transport_leases(config, 4, 0.0), 2u);
   EXPECT_EQ(reclaim_transport_leases(config, 4, 0.0), 0u);
+}
+
+// ---- the pre-auth trust boundary of the frame pump -----------------------
+
+/// Blocking loopback connection to `port` with a 5 s receive timeout,
+/// so a server that never answers fails the test instead of hanging it.
+int connect_raw(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_all(int fd, const std::string& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t got =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (got <= 0) return false;
+    sent += static_cast<std::size_t>(got);
+  }
+  return true;
+}
+
+/// Reads exactly `size` bytes; false on EOF, reset, or timeout.
+bool recv_exact(int fd, std::string& out, std::size_t size) {
+  out.resize(size);
+  std::size_t got = 0;
+  while (got < size) {
+    const ssize_t chunk = ::recv(fd, out.data() + got, size - got, 0);
+    if (chunk <= 0) return false;
+    got += static_cast<std::size_t>(chunk);
+  }
+  return true;
+}
+
+/// Reads one reply frame's payload; false on EOF, reset, or timeout.
+bool recv_frame(int fd, std::string& payload) {
+  std::string header;
+  if (!recv_exact(fd, header, 4)) return false;
+  std::size_t size = 0;
+  for (int byte = 0; byte < 4; ++byte)
+    size |= static_cast<std::size_t>(static_cast<unsigned char>(header[byte]))
+            << (8 * byte);
+  return recv_exact(fd, payload, size);
+}
+
+std::string hello_frame(const std::string& token) {
+  std::ostringstream hello;
+  hello.put(static_cast<char>(wire::kOpHello));
+  io::write_string(hello, token);
+  return wire::frame(hello.str());
+}
+
+TEST(CampaignServerTest, OversizedPreAuthFrameDisconnects) {
+  CampaignServer server(
+      CampaignServerConfig{"127.0.0.1:0", "", "secret-token"});
+  server.start();
+
+  // An unauthenticated peer declares a 1 MiB frame and sends its first
+  // bytes: far above the largest hello, so the server must hang up
+  // instead of buffering toward it.
+  const int fd = connect_raw(server.port());
+  ASSERT_GE(fd, 0);
+  const std::size_t declared = std::size_t{1} << 20;
+  ASSERT_GT(declared, wire::kMaxHelloFrameBytes);
+  std::string header(4, '\0');
+  for (int byte = 0; byte < 4; ++byte)
+    header[byte] = static_cast<char>((declared >> (8 * byte)) & 0xff);
+  ASSERT_TRUE(send_all(fd, header + std::string(1024, 'x')));
+  char byte = 0;
+  errno = 0;
+  const ssize_t got = ::recv(fd, &byte, 1, 0);
+  const bool disconnected = got == 0 || (got < 0 && errno == ECONNRESET);
+  EXPECT_TRUE(disconnected) << "recv returned " << got << ", errno "
+                            << errno;
+  ::close(fd);
+
+  // The server keeps serving authenticated clients.
+  TcpQueueClient authed(server.address(), 24, "secret-token");
+  authed.populate("camp", 2);
+  EXPECT_EQ(authed.claim("camp", 0, TcpQueueClient::kNoHint, 2)
+                .leased.size(),
+            2u);
+
+  // A token the pre-auth bound could never admit is refused up front.
+  EXPECT_THROW(CampaignServer(CampaignServerConfig{
+                   "127.0.0.1:0", "",
+                   std::string(wire::kMaxAuthTokenBytes + 1, 't')}),
+               std::invalid_argument);
+}
+
+TEST(CampaignServerTest, PipelinedFramesAllGetTheirReplies) {
+  CampaignServer server(
+      CampaignServerConfig{"127.0.0.1:0", "", "secret-token"});
+  server.start();
+
+  // One write: the hello, then 10k worker-id allocations. Each reply
+  // carries a fresh range base, so replies prove both completeness and
+  // order.
+  constexpr std::size_t kFrames = 10000;
+  std::string burst = hello_frame("secret-token");
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    std::ostringstream alloc;
+    alloc.put(static_cast<char>(wire::kOpAllocWorkers));
+    io::write_u64(alloc, 1);
+    burst += wire::frame(alloc.str());
+  }
+  const int fd = connect_raw(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, burst));
+
+  std::string reply;
+  ASSERT_TRUE(recv_frame(fd, reply));
+  ASSERT_EQ(reply, std::string(1, static_cast<char>(wire::kStatusOk)));
+  std::uint64_t first_base = 0;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(recv_frame(fd, reply)) << "reply " << i << " missing";
+    ASSERT_EQ(reply.size(), 9u) << "reply " << i;
+    ASSERT_EQ(reply[0], static_cast<char>(wire::kStatusOk)) << "reply " << i;
+    std::istringstream body(reply.substr(1));
+    const std::uint64_t base = io::read_u64(body);
+    if (i == 0) first_base = base;
+    ASSERT_EQ(base, first_base + i) << "reply " << i;
+  }
+  ::close(fd);
 }
 
 #endif  // !defined(_WIN32)
