@@ -18,36 +18,53 @@ int main() {
                config);
 
   const int episodes = 1000;  // paper scale; NN needs the full budget
+  const std::vector<double> bers = grid_training_bers(config.full_scale);
+  const std::vector<int> injection_episodes =
+      grid_injection_episodes(episodes, config.full_scale);
 
+  // Times the NN training sweeps (the MLP's quantization-aware TD
+  // training dominates them); a trial is one training run.
+  PerfRecorder perf(config, "fig2",
+                    "FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 "
+                    "./build/bench/bench_fig2_training_heatmaps");
   JsonArtifact artifact(config, "fig2");
   for (const bool tabular : {true, false}) {
     const char* policy = tabular ? "tabular" : "nn";
     const int repeats =
         config.resolve_repeats(tabular ? 10 : 3, tabular ? 100 : 20);
+    const auto runs = static_cast<std::size_t>(repeats) * bers.size();
     const std::vector<std::pair<std::string, std::string>> grid_overrides = {
         {"policy", policy},
         {"episodes", std::to_string(episodes)},
-        {"bers", param_join(grid_training_bers(config.full_scale))},
-        {"injection-episodes",
-         param_join(grid_injection_episodes(episodes, config.full_scale))},
+        {"bers", param_join(bers)},
+        {"injection-episodes", param_join(injection_episodes)},
         {"repeats", std::to_string(repeats)},
         {"seed", std::to_string(config.seed)}};
 
     std::printf("--- Fig. 2%c (%s): transient faults, success rate (%%) by "
                 "(BER, injection episode), %d repeats/cell ---\n",
                 tabular ? 'a' : 'c', policy, repeats);
+    double start = PerfRecorder::now();
     artifact.add(tabular ? "fig2a" : "fig2c",
                  run_scenario("grid-training-transient",
                               tabular ? "fig2a" : "fig2c", config,
                               DistConfig{}, grid_overrides));
+    if (!tabular)
+      perf.record("fig2c_nn_transient", runs * injection_episodes.size(),
+                  PerfRecorder::now() - start);
 
     std::printf("--- Fig. 2%c (%s): permanent faults from episode 0, "
                 "success rate (%%) by BER ---\n",
                 tabular ? 'a' : 'c', policy);
+    start = PerfRecorder::now();
     artifact.add(tabular ? "fig2a_perm" : "fig2c_perm",
                  run_scenario("grid-training-permanent",
                               tabular ? "fig2a-perm" : "fig2c-perm", config,
                               DistConfig{}, grid_overrides));
+    // Stuck-at-0 and stuck-at-1 per BER.
+    if (!tabular)
+      perf.record("fig2c_nn_permanent", 2 * runs,
+                  PerfRecorder::now() - start);
 
     std::printf("--- Fig. 2%c (%s): trained value histogram & bit stats "
                 "---\n",

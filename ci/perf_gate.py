@@ -36,6 +36,8 @@ bench, from the repo root, Release build):
         ./build/bench/bench_fig7e_data_types
     FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 \
         ./build/bench/bench_ablation_mitigations
+    FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 \
+        ./build/bench/bench_fig2_training_heatmaps
 
 then commit the rewritten bench/baselines/BENCH_*.json.
 """

@@ -329,9 +329,9 @@ InferenceCampaignResult run_inference_campaign(
         merge_accums, stream);
   } else {
     // --- NN path (through the quantized inference engine) --------------
-    // Snapshot the trained network once: MlpQAgent::network() commits
-    // the quantized buffer and must not run concurrently.
-    const Network golden_net = trained.mlp->network();
+    // The trained network is read-only from here on: shards build their
+    // engines from it concurrently, and none of them writes to it.
+    const Network& golden_net = trained.mlp->network();
     const QFormat format = trained.mlp->weights().format();
     const Shape input_shape{trained.env.state_count(), 1, 1};
     // Engine reuse policy: 0 = one engine per shard (fast default),

@@ -34,7 +34,7 @@ class GridAgentHandle {
   double evaluate_return() {
     return tabular_ ? tabular_->evaluate_return() : mlp_->evaluate_return();
   }
-  QVector& store() {
+  const QVector& store() const {
     return tabular_ ? tabular_->table() : mlp_->weights();
   }
   void inject_transient(const FaultMap& map) {

@@ -262,6 +262,7 @@ Shape Dense::output_shape(const Shape& in) const {
 Tensor Dense::forward(const Tensor& input) {
   (void)output_shape(input.shape());
   cached_input_ = input;
+  hot_index_ = kNoHotIndex;
   Tensor out(Shape{out_features_, 1, 1});
   const std::size_t bias_base = params_.size() - out_features_;
   for (int o = 0; o < out_features_; ++o) {
@@ -274,11 +275,35 @@ Tensor Dense::forward(const Tensor& input) {
   return out;
 }
 
+Tensor Dense::forward_one_hot(std::size_t index) {
+  if (index >= static_cast<std::size_t>(in_features_))
+    throw std::invalid_argument("Dense::forward_one_hot: index out of range");
+  hot_index_ = index;
+  Tensor out(Shape{out_features_, 1, 1});
+  const std::size_t bias_base = params_.size() - out_features_;
+  for (int o = 0; o < out_features_; ++o) {
+    const std::size_t row = static_cast<std::size_t>(o) * in_features_;
+    out[static_cast<std::size_t>(o)] =
+        params_[bias_base + static_cast<std::size_t>(o)] +
+        params_[row + index];
+  }
+  return out;
+}
+
 Tensor Dense::backward(const Tensor& grad_output) {
+  const std::size_t bias_base = params_.size() - out_features_;
+  if (hot_index_ != kNoHotIndex) {
+    for (int o = 0; o < out_features_; ++o) {
+      const float g = grad_output[static_cast<std::size_t>(o)];
+      if (g == 0.0f) continue;
+      grads_[bias_base + static_cast<std::size_t>(o)] += g;
+      grads_[static_cast<std::size_t>(o) * in_features_ + hot_index_] += g;
+    }
+    return Tensor();
+  }
   if (cached_input_.empty())
     throw std::logic_error("Dense::backward before forward");
   Tensor grad_input(cached_input_.shape());
-  const std::size_t bias_base = params_.size() - out_features_;
   for (int o = 0; o < out_features_; ++o) {
     const float g = grad_output[static_cast<std::size_t>(o)];
     if (g == 0.0f) continue;

@@ -150,6 +150,16 @@ class Dense final : public Layer {
   LayerKind kind() const noexcept override { return LayerKind::kDense; }
   Shape output_shape(const Shape& in) const override;
   Tensor forward(const Tensor& input) override;
+  /// Forward for the one-hot input whose 1 is at `index`: out = bias +
+  /// W[:, index], a column gather instead of in*out multiply-adds.
+  /// Bit-identical to forward() on that one-hot tensor when every
+  /// parameter is finite and no bias is -0.0 (true of parameters decoded
+  /// from fixed-point words): each skipped w*0 adds a zero to a finite,
+  /// non-negative-zero accumulator. The next backward() then accumulates
+  /// gradients into the biases and that column only, and returns an
+  /// empty input gradient. Throws std::invalid_argument if `index` is
+  /// not below in_features().
+  Tensor forward_one_hot(std::size_t index);
   Tensor backward(const Tensor& grad_output) override;
   std::span<float> parameters() override { return params_; }
   std::span<const float> parameters() const override { return params_; }
@@ -162,11 +172,14 @@ class Dense final : public Layer {
   int out_features() const noexcept { return out_features_; }
 
  private:
+  static constexpr std::size_t kNoHotIndex = static_cast<std::size_t>(-1);
+
   int in_features_;
   int out_features_;
   std::vector<float> params_;  // row-major [out][in] weights, then biases
   std::vector<float> grads_;
   Tensor cached_input_;
+  std::size_t hot_index_ = kNoHotIndex;  // set by forward_one_hot
 };
 
 }  // namespace ftnav

@@ -34,6 +34,17 @@ Tensor Network::forward(const Tensor& input) {
   return x;
 }
 
+Tensor Network::forward_one_hot(std::size_t index) {
+  auto* first =
+      layers_.empty() ? nullptr : dynamic_cast<Dense*>(layers_.front().get());
+  if (first == nullptr)
+    throw std::logic_error("Network::forward_one_hot: first layer not Dense");
+  Tensor x = first->forward_one_hot(index);
+  for (auto it = layers_.begin() + 1; it != layers_.end(); ++it)
+    x = (*it)->forward(x);
+  return x;
+}
+
 Tensor Network::backward(const Tensor& grad_output) {
   Tensor g = grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)

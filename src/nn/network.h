@@ -39,6 +39,14 @@ class Network {
   /// Forward pass through every layer (caches for backward).
   Tensor forward(const Tensor& input);
 
+  /// Forward pass for a one-hot input with its 1 at `index`: the first
+  /// layer, which must be Dense, gathers one weight column (see
+  /// Dense::forward_one_hot for when this is bit-identical to forward()),
+  /// and the next backward() updates only that column of its gradients
+  /// and returns an empty input gradient. Throws std::logic_error if
+  /// the first layer is not Dense.
+  Tensor forward_one_hot(std::size_t index);
+
   /// Backward pass from the loss gradient w.r.t. the network output;
   /// accumulates parameter gradients in each layer.
   Tensor backward(const Tensor& grad_output);

@@ -1,8 +1,18 @@
 #include "rl/mlp_q.h"
 
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 
 namespace ftnav {
+
+namespace {
+
+// Layer-stack positions of the two parametered layers: FC1, ReLU, FC2.
+constexpr std::size_t kFc1 = 0;
+constexpr std::size_t kFc2 = 2;
+
+}  // namespace
 
 MlpQAgent::MlpQAgent(const GridWorld& env, MlpQConfig config, Rng& rng)
     : env_(&env), config_(config) {
@@ -18,7 +28,8 @@ MlpQAgent::MlpQAgent(const GridWorld& env, MlpQConfig config, Rng& rng)
                                    GridWorld::action_count(), rng))
       .set_label("FC2");
   master_ = net_.snapshot_parameters();
-  weights_ = QVector(config.format, std::span<const float>(master_));
+  weights_ = QVector(config.format, master_.size());
+  mark_all_dirty();
   commit();
 }
 
@@ -30,12 +41,39 @@ Tensor MlpQAgent::encode_state(int state) const {
   return one_hot;
 }
 
+void MlpQAgent::mark_all_dirty() {
+  dirty_.resize(weights_.size());
+  for (std::size_t i = 0; i < dirty_.size(); ++i)
+    dirty_[i] = static_cast<std::uint32_t>(i);
+}
+
+float& MlpQAgent::parameter(std::size_t index) {
+  const std::span<float> fc1 = net_.layer(kFc1).parameters();
+  return index < fc1.size() ? fc1[index]
+                            : net_.layer(kFc2).parameters()[index - fc1.size()];
+}
+
+void MlpQAgent::update_master() {
+  const auto lr = static_cast<float>(config_.learning_rate);
+  std::size_t offset = 0;
+  for (const std::size_t layer : {kFc1, kFc2}) {
+    const std::span<float> grads = net_.layer(layer).gradients();
+    for (std::size_t i = 0; i < grads.size(); ++i) {
+      if (grads[i] == 0.0f) continue;
+      master_[offset + i] -= lr * grads[i];
+      grads[i] = 0.0f;
+      dirty_.push_back(static_cast<std::uint32_t>(offset + i));
+    }
+    offset += grads.size();
+  }
+}
+
 void MlpQAgent::commit() {
-  weights_.encode_from(std::span<const float>(master_));
+  for (const std::uint32_t i : dirty_) weights_.set_fast(i, master_[i]);
   stuck_.apply(weights_);
-  scratch_.resize(weights_.size());
-  weights_.decode_into(scratch_);
-  net_.restore_parameters(scratch_);
+  for (const std::uint32_t i : dirty_)
+    parameter(i) = static_cast<float>(weights_.get_fast(i));
+  dirty_.clear();
 }
 
 int MlpQAgent::td_step(int state, double epsilon, Rng& rng,
@@ -43,7 +81,7 @@ int MlpQAgent::td_step(int state, double epsilon, Rng& rng,
   // Order matters for layer caches: compute the bootstrap target from
   // the next state FIRST, then run the forward pass for `state` so the
   // caches backward consumes belong to the graded input.
-  const Tensor q_probe = net_.forward(encode_state(state));
+  const Tensor q_probe = q_values(state);
   const int action =
       rng.bernoulli(epsilon)
           ? static_cast<int>(rng.below(GridWorld::action_count()))
@@ -53,35 +91,29 @@ int MlpQAgent::td_step(int state, double epsilon, Rng& rng,
 
   double target = result.reward * config_.reward_scale;
   if (!result.done) {
-    const Tensor next_q = net_.forward(encode_state(result.next_state));
+    const Tensor next_q = q_values(result.next_state);
     target += config_.gamma * static_cast<double>(next_q.max_value());
   }
-  const Tensor q = net_.forward(encode_state(state));
+  const Tensor q = q_values(state);
   Tensor grad(static_cast<std::size_t>(GridWorld::action_count()));
   grad[static_cast<std::size_t>(action)] = static_cast<float>(
       static_cast<double>(q[static_cast<std::size_t>(action)]) - target);
   net_.backward(grad);
   // Straight-through update: gradients w.r.t. quantized weights are
   // applied to the float master, then re-quantized into the buffer.
-  grad_scratch_.resize(master_.size());
-  net_.copy_gradients_into(grad_scratch_);
-  for (std::size_t i = 0; i < master_.size(); ++i)
-    master_[i] -= static_cast<float>(config_.learning_rate) *
-                  grad_scratch_[i];
-  net_.zero_gradients();
+  update_master();
   commit();
   return action;
 }
 
 Tensor MlpQAgent::q_values(int state) {
-  return net_.forward(encode_state(state));
+  // A negative state wraps to an index FC1 rejects as out of range.
+  return net_.forward_one_hot(static_cast<std::size_t>(state));
 }
 
 int MlpQAgent::greedy_action(int state) {
   return static_cast<int>(q_values(state).argmax());
 }
-
-const Network& MlpQAgent::network() { return net_; }
 
 double MlpQAgent::run_training_episode(double epsilon, Rng& rng) {
   int state = env_->source_state();
@@ -134,6 +166,7 @@ double MlpQAgent::evaluate_return() {
 
 void MlpQAgent::set_stuck(const StuckAtMask& mask) {
   stuck_ = mask;
+  mark_all_dirty();
   commit();
 }
 
@@ -145,15 +178,16 @@ void MlpQAgent::inject_transient(const FaultMap& map) {
   stuck_.apply(weights_);
   // The upset corrupted the stored weights: propagate the faulty values
   // into the float master so training continues from the damage (and
-  // can heal it), exactly like retraining on faulty silicon.
+  // can heal it), exactly like retraining on faulty silicon. The upset
+  // words stay dirty: the next commit must re-derive them, because a
+  // "-0" word decodes to 0.0 but re-encodes to 0.
   for (const FaultSite& site : map.sites()) {
-    if (site.word_index < weights_.size())
-      master_[site.word_index] =
-          static_cast<float>(weights_.get(site.word_index));
+    if (site.word_index >= weights_.size()) continue;
+    const auto value = static_cast<float>(weights_.get(site.word_index));
+    master_[site.word_index] = value;
+    parameter(site.word_index) = value;
+    dirty_.push_back(site.word_index);
   }
-  scratch_.resize(weights_.size());
-  weights_.decode_into(scratch_);
-  net_.restore_parameters(scratch_);
 }
 
 }  // namespace ftnav

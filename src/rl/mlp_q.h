@@ -12,6 +12,24 @@
 //     and training can subsequently "heal" them through new updates;
 //   * stuck-at bits are re-enforced on the buffer after every write, so
 //     the learner can only route around them, never overwrite them.
+//
+// Invariant, after every public call: word[i] == stuck(encode(master[i]))
+// for every word i, and the network's parameters equal decode(word).
+// The one exception is inject_transient(): it leaves the upset words in
+// the buffer (and their decoded values in the network) until the next
+// training step re-derives them from the master. That matters for
+// sign-magnitude "-0" (0x80), which decodes to 0.0 but re-encodes to
+// 0x00.
+//
+// A TD step costs only what it touches. The one-hot input makes FC1 a
+// column gather (Network::forward_one_hot), and backward then grades
+// that column, the FC1 biases and FC2, fewer than 150 of the 5,044
+// words. The update reads each layer's gradients once, applies
+// master -= lr * g to the nonzero ones only, and records them in a
+// dirty set. commit() re-derives only the dirty words. This is exact:
+// a word whose gradient is zero keeps its master (x - lr * 0 == x, up
+// to the sign of a zero, which encode erases), and the stuck mask is
+// idempotent on words that already satisfy it.
 
 #include "core/fault_model.h"
 #include "core/injector.h"
@@ -52,7 +70,9 @@ class MlpQAgent {
   Tensor encode_state(int state) const;
 
   /// Q-values for a state, computed from the (possibly faulty)
-  /// quantized weight buffer.
+  /// quantized weight buffer; bit-identical to
+  /// network().forward(encode_state(state)). Throws
+  /// std::invalid_argument for a state outside the grid.
   Tensor q_values(int state);
   int greedy_action(int state);
 
@@ -64,22 +84,39 @@ class MlpQAgent {
   double evaluate_return();
 
   // ---- fault hooks ---------------------------------------------------
-  QVector& weights() noexcept { return weights_; }
+  /// The quantized buffer, read-only: every write goes through
+  /// set_stuck(), inject_transient() or training, which keep the
+  /// invariant above.
   const QVector& weights() const noexcept { return weights_; }
+  /// Replaces the stuck-at overlay and re-derives every word.
   void set_stuck(const StuckAtMask& mask);
+  /// Flips the map's bits in the buffer (stuck bits still win) and
+  /// copies the upset values into the master, so training continues
+  /// from the damage.
   void inject_transient(const FaultMap& map);
-  void clear_stuck() { stuck_ = StuckAtMask(); }
 
   /// The float network view of the current (quantized, faulty) buffer;
   /// used to hand the trained policy to the inference engine.
-  const Network& network();
+  const Network& network() const noexcept { return net_; }
 
   std::size_t weight_count() const noexcept { return weights_.size(); }
 
  private:
-  /// Encodes master -> buffer, enforces stuck bits, decodes buffer into
-  /// the network (the network always sees accelerator truth).
+  /// Marks every word dirty, so the next commit() re-derives them all.
+  void mark_all_dirty();
+
+  /// Applies master -= lr * g for every nonzero gradient g, zeroes
+  /// those gradients, and marks their words dirty.
+  void update_master();
+
+  /// For each dirty word: encodes master -> buffer, enforces stuck bits
+  /// (over the whole buffer, a no-op on clean words), and decodes the
+  /// word into the network (the network always sees accelerator
+  /// truth). Clears the dirty set.
   void commit();
+
+  /// The network parameter that holds word `index` of the buffer.
+  float& parameter(std::size_t index);
 
   /// One TD(0) step from `state`: act, learn, commit. Returns the
   /// action; fills the env result and reward.
@@ -92,8 +129,7 @@ class MlpQAgent {
   std::vector<float> master_;  // float master weights (SGD accumulator)
   QVector weights_;            // quantized accelerator buffer
   StuckAtMask stuck_;
-  std::vector<float> scratch_;
-  std::vector<float> grad_scratch_;
+  std::vector<std::uint32_t> dirty_;  // words commit() must re-derive
 };
 
 }  // namespace ftnav

@@ -836,14 +836,43 @@ Work grid_rollout_trial(GridPolicyKind kind, ObstacleDensity density) {
   return work;
 }
 
-/// One training run of `episodes` episodes (forward + backward + update
-/// per step for the NN policy), plus one inject/restore pass.
+/// One TD step of the NN policy as MlpQAgent runs it: three one-hot
+/// forwards, where FC1 gathers one weight column (hidden adds) and FC2
+/// runs dense; a backward priced as one more forward; one read of every
+/// float gradient; and a requantize of the words the step touches
+/// (FC1's hot column and biases, the acted-on FC2 row and its bias),
+/// each a master read, a word write and a parameter write.
+Work mlp_td_step(ObstacleDensity density) {
+  const MlpQConfig config;
+  const double states = GridWorld::preset(density).state_count();
+  const double hidden = config.hidden_units;
+  const double actions = GridWorld::action_count();
+  const double fc2_words = hidden * actions + actions;
+  Work forward;
+  forward.macs = hidden + hidden * actions;
+  // Weights read (FC1 column + biases, all of FC2) and activations.
+  forward.bytes = (2.0 * hidden + fc2_words + 2.0 * hidden + actions) *
+                  kGridWordBytes;
+  Work step = forward.scaled(4.0);
+  const double parameters = states * hidden + hidden + fc2_words;
+  const double touched = 3.0 * hidden + 1.0;
+  step.bytes += parameters * sizeof(float) +
+                touched * (2.0 * sizeof(float) + sizeof(Word));
+  return step;
+}
+
+/// One training run of `episodes` episodes at the per-episode step cap
+/// (one TD step per env step for the NN policy), plus one inject/restore
+/// pass over the store.
 Work grid_training_trial(GridPolicyKind kind, ObstacleDensity density,
                          double episodes) {
   const GridPolicyModel model = grid_policy_model(kind, density);
   const MlpQConfig config;
-  Work work = model.forward.scaled(3.0 * config.max_steps * episodes);
-  work.grid_steps = static_cast<double>(config.max_steps) * episodes;
+  const double steps = static_cast<double>(config.max_steps) * episodes;
+  Work work = kind == GridPolicyKind::kTabular
+                  ? Work{}
+                  : mlp_td_step(density).scaled(steps);
+  work.grid_steps = steps;
   work.bytes += cost::inject_restore_bytes(
       static_cast<std::size_t>(model.store_words), kGridWordBytes);
   return work;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "nn/c3f2.h"
 #include "nn/network.h"
 
@@ -38,6 +42,41 @@ TEST(Network, ForwardMatchesManualComposition) {
   ASSERT_EQ(out.size(), manual.size());
   for (std::size_t i = 0; i < out.size(); ++i)
     EXPECT_FLOAT_EQ(out[i], manual[i]);
+}
+
+TEST(Network, OneHotForwardAndBackwardMatchDensePath) {
+  // Quantized parameters (finite, never -0.0) are the one-hot path's
+  // precondition: round to 1/16 like an 8-bit weight store, and add
+  // 0.0f to turn any -0.0 into 0.0.
+  Rng rng(9);
+  Network dense = small_mlp(rng);
+  auto params = dense.snapshot_parameters();
+  for (float& p : params) p = std::nearbyint(p * 16.0f) / 16.0f + 0.0f;
+  dense.restore_parameters(params);
+  Network one_hot = dense;
+  Tensor grad(Shape{3, 1, 1}, {0.25f, -1.5f, 0.0f});
+  for (std::size_t hot = 0; hot < 4; ++hot) {
+    Tensor input(Shape{4, 1, 1});
+    input[hot] = 1.0f;
+    const Tensor expected = dense.forward(input);
+    const Tensor got = one_hot.forward_one_hot(hot);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                std::bit_cast<std::uint32_t>(expected[i]));
+    (void)dense.backward(grad);
+    EXPECT_TRUE(one_hot.backward(grad).empty());
+    // Gradients agree as values; off-column entries stay zero (the
+    // dense path may leave -0.0 there).
+    const auto dense_grads = dense.snapshot_gradients();
+    const auto hot_grads = one_hot.snapshot_gradients();
+    for (std::size_t i = 0; i < dense_grads.size(); ++i)
+      EXPECT_EQ(hot_grads[i], dense_grads[i]) << i;
+  }
+  EXPECT_THROW(one_hot.forward_one_hot(4), std::invalid_argument);
+  Network relu_first;
+  relu_first.add(std::make_unique<ReLU>());
+  EXPECT_THROW(relu_first.forward_one_hot(0), std::logic_error);
 }
 
 TEST(Network, SnapshotRestoreRoundTrip) {
