@@ -39,7 +39,10 @@ bench, from the repo root, Release build):
     FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 \
         ./build/bench/bench_fig2_training_heatmaps
 
-then commit the rewritten bench/baselines/BENCH_*.json.
+then commit the rewritten bench/baselines/BENCH_*.json. The fig7b line
+refreshes both of its rows: drone_env_trials (the rollout grid) and
+drone_env_policy_training (the C3F2 policy training before it, one
+"trial" per trained policy).
 """
 
 import argparse

@@ -1,9 +1,9 @@
 // Scalar kernel backend + runtime dispatch.
 //
-// The scalar loops replicate the Conv2D/Dense forward loops in
-// src/nn/layers.cpp operation for operation (same accumulation order,
-// same index arithmetic), so the kernelized engine is bit-identical to
-// the original layer-by-layer execution. This TU is compiled with
+// These loops are the reference implementation of every conv/dense
+// chain: the Conv2D/Dense layers (src/nn/layers.cpp) and the quantized
+// engine both run them through the dispatch table, and each SIMD
+// backend reproduces them bit for bit. This TU is compiled with
 // -ffp-contract=off (see CMakeLists.txt) so the chains stay mul+add.
 
 #include "nn/kernels/kernels.h"
@@ -59,11 +59,121 @@ void relu_scalar(float* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
 }
 
-constexpr KernelOps kScalarOps{"scalar", /*dense_wants_transposed=*/false,
-                               /*conv_wants_transposed=*/false, conv2d_scalar,
-                               dense_scalar, relu_scalar};
+void conv2d_weight_grad_scalar(const float* dy, const float* x, float* dw,
+                               float* db, const ConvShape& s) {
+  for (int oc = 0; oc < s.out_c; ++oc) {
+    for (int oh = 0; oh < s.out_h; ++oh) {
+      for (int ow = 0; ow < s.out_w; ++ow) {
+        const float g =
+            dy[(static_cast<std::size_t>(oc) * s.out_h + oh) * s.out_w + ow];
+        if (g == 0.0f) continue;
+        db[oc] += g;
+        const int ih0 = oh * s.stride;
+        const int iw0 = ow * s.stride;
+        for (int ic = 0; ic < s.in_c; ++ic) {
+          for (int kh = 0; kh < s.kernel; ++kh) {
+            float* dwrow =
+                dw + ((static_cast<std::size_t>(oc) * s.in_c + ic) * s.kernel +
+                      kh) *
+                         s.kernel;
+            const float* xrow =
+                x + (static_cast<std::size_t>(ic) * s.in_h + (ih0 + kh)) *
+                        s.in_w +
+                iw0;
+            for (int kw = 0; kw < s.kernel; ++kw) dwrow[kw] += g * xrow[kw];
+          }
+        }
+      }
+    }
+  }
+}
 
-std::atomic<const KernelOps*> g_override{nullptr};
+void conv2d_input_grad_scalar(const float* dy, const float* w, float* dx,
+                              const ConvShape& s) {
+  for (int oc = 0; oc < s.out_c; ++oc) {
+    for (int oh = 0; oh < s.out_h; ++oh) {
+      for (int ow = 0; ow < s.out_w; ++ow) {
+        const float g =
+            dy[(static_cast<std::size_t>(oc) * s.out_h + oh) * s.out_w + ow];
+        if (g == 0.0f) continue;
+        const int ih0 = oh * s.stride;
+        const int iw0 = ow * s.stride;
+        for (int ic = 0; ic < s.in_c; ++ic) {
+          for (int kh = 0; kh < s.kernel; ++kh) {
+            const float* wrow =
+                w + ((static_cast<std::size_t>(oc) * s.in_c + ic) * s.kernel +
+                     kh) *
+                        s.kernel;
+            float* dxrow =
+                dx + (static_cast<std::size_t>(ic) * s.in_h + (ih0 + kh)) *
+                         s.in_w +
+                iw0;
+            for (int kw = 0; kw < s.kernel; ++kw) dxrow[kw] += g * wrow[kw];
+          }
+        }
+      }
+    }
+  }
+}
+
+void dense_weight_grad_scalar(const float* dy, const float* x, float* dw,
+                              float* db, int in_f, int out_f) {
+  for (int o = 0; o < out_f; ++o) {
+    const float g = dy[o];
+    if (g == 0.0f) continue;
+    db[o] += g;
+    float* row = dw + static_cast<std::size_t>(o) * in_f;
+    for (int i = 0; i < in_f; ++i) row[i] += g * x[i];
+  }
+}
+
+void dense_input_grad_scalar(const float* dy, const float* w, float* dx,
+                             int in_f, int out_f) {
+  for (int o = 0; o < out_f; ++o) {
+    const float g = dy[o];
+    if (g == 0.0f) continue;
+    const float* row = w + static_cast<std::size_t>(o) * in_f;
+    for (int i = 0; i < in_f; ++i) dx[i] += g * row[i];
+  }
+}
+
+constexpr KernelOps kScalarOps{
+    "scalar",
+    /*dense_wants_transposed=*/false,
+    /*conv_wants_transposed=*/false,
+    conv2d_scalar,
+    dense_scalar,
+    relu_scalar,
+    conv2d_weight_grad_scalar,
+    conv2d_input_grad_scalar,
+    dense_weight_grad_scalar,
+    dense_input_grad_scalar};
+
+/// active() runs on every layer forward/backward, from every campaign
+/// thread, so the pointers it reads get a cache line of their own:
+/// sharing one with written data (a worker pool's counters) would make
+/// each call a cache miss.
+struct alignas(64) Dispatch {
+  std::atomic<const KernelOps*> override_ops{nullptr};
+  std::atomic<const KernelOps*> env_ops{nullptr};
+};
+Dispatch g_dispatch;
+
+/// The FTNAV_SIMD choice, resolved once.
+const KernelOps& env_backend() {
+  static const KernelOps& chosen = []() -> const KernelOps& {
+    const char* raw = std::getenv("FTNAV_SIMD");
+    try {
+      return resolve_backend(raw != nullptr && *raw != '\0' ? raw : "auto");
+    } catch (const std::exception& e) {
+      // First use may be on a worker thread; a throw here would
+      // std::terminate, so diagnose and exit like other bad inputs.
+      std::fprintf(stderr, "ftnav: %s\n", e.what());
+      std::exit(2);
+    }
+  }();
+  return chosen;
+}
 
 }  // namespace
 
@@ -106,20 +216,21 @@ const KernelOps& resolve_backend(const std::string& choice) {
 }
 
 const KernelOps& active() {
-  const KernelOps* forced = g_override.load(std::memory_order_acquire);
-  if (forced != nullptr) return *forced;
-  static const KernelOps& chosen = []() -> const KernelOps& {
-    const char* raw = std::getenv("FTNAV_SIMD");
-    try {
-      return resolve_backend(raw != nullptr && *raw != '\0' ? raw : "auto");
-    } catch (const std::exception& e) {
-      // First use may be on a worker thread; a throw here would
-      // std::terminate, so diagnose and exit like other bad inputs.
-      std::fprintf(stderr, "ftnav: %s\n", e.what());
-      std::exit(2);
-    }
-  }();
-  return chosen;
+  const KernelOps* ops =
+      g_dispatch.override_ops.load(std::memory_order_acquire);
+  if (ops == nullptr) ops = g_dispatch.env_ops.load(std::memory_order_acquire);
+  if (ops == nullptr) {
+    ops = &env_backend();
+    g_dispatch.env_ops.store(ops, std::memory_order_release);
+  }
+  return *ops;
+}
+
+void transpose(const float* w, float* wt, int rows, int cols) {
+  for (int c = 0; c < cols; ++c)
+    for (int r = 0; r < rows; ++r)
+      wt[static_cast<std::size_t>(c) * rows + r] =
+          w[static_cast<std::size_t>(r) * cols + c];
 }
 
 void maxpool2d(const float* x, float* y, int channels, int in_h, int in_w,
@@ -147,10 +258,11 @@ void maxpool2d(const float* x, float* y, int channels, int in_h, int in_w,
 }
 
 ScopedKernelBackend::ScopedKernelBackend(const KernelOps& ops)
-    : previous_(g_override.exchange(&ops, std::memory_order_acq_rel)) {}
+    : previous_(g_dispatch.override_ops.exchange(&ops,
+                                                 std::memory_order_acq_rel)) {}
 
 ScopedKernelBackend::~ScopedKernelBackend() {
-  g_override.store(previous_, std::memory_order_release);
+  g_dispatch.override_ops.store(previous_, std::memory_order_release);
 }
 
 }  // namespace ftnav::kernels

@@ -1,21 +1,43 @@
 #pragma once
-// Runtime-dispatched compute kernels for the quantized inference engine.
+// Runtime-dispatched compute kernels: the one conv/dense implementation
+// behind both the float training layers (src/nn/layers.cpp) and the
+// quantized inference engine.
 //
-// The engine emulates fixed-point MACs in float: per output element it
-// runs one sequential accumulation chain (bias, then += w*x in a fixed
-// order) whose result is quantized on the buffer write. The SIMD
-// backends vectorize ACROSS independent output elements while keeping
-// every element's scalar chain intact, so each lane performs exactly
-// the operations the scalar backend performs for that element and the
-// results are bit-identical for every backend and lane width. Kernel
-// translation units are compiled with -ffp-contract=off so no backend
-// fuses the multiply-add chain into FMAs.
+// Every forward output element is one sequential accumulation chain
+// (bias, then += w*x in a fixed order); the engine additionally
+// quantizes it on the buffer write. The SIMD backends vectorize ACROSS
+// independent elements while keeping every element's scalar chain
+// intact, so each lane performs exactly the operations the scalar
+// backend performs for that element and the results are bit-identical
+// for every backend and lane width. Kernel translation units are
+// compiled with -ffp-contract=off so no backend fuses the multiply-add
+// chain into FMAs.
+//
+// The backward entries follow the same contract. Each accumulates into
+// caller-owned gradient buffers (+=, never overwrite) with the chain
+// order of the scalar loop `for oc, oh, ow: g = dy[oc][oh][ow];
+// if (g == 0) continue; ...`:
+//   * weight gradient: each dw element sums its g*x terms in (oh, ow)
+//     order and each bias element its g terms in the same order;
+//   * input gradient: each dx element sums its g*w terms in
+//     (oc, oh, ow, kh, kw) order (dense: in o order).
+// A term whose g compares equal to zero (+0 or -0) adds nothing: the
+// element keeps its exact bits, even when the other factor is inf or
+// NaN, because 0 * inf is never formed. The SIMD backends therefore
+// vectorize only across elements that share one g (a whole weight row,
+// or all input channels of one tap), so a zero g skips every lane at
+// once. The dense backward entries of every backend are the scalar
+// ones (short contiguous rows the compiler vectorizes). The NEON
+// backend points its conv backward entries at the scalar ones too: no
+// ARM host is available to test a vectorized version on, and the
+// scalar chains are correct everywhere.
 //
 // Backend selection happens once per process from FTNAV_SIMD
 // ("scalar" | "avx2" | "neon" | "auto", default auto = the widest
 // backend the CPU supports: avx2 on x86, neon on ARM, scalar
-// otherwise). Naming a backend the host cannot execute is a diagnosed
-// error, not a silent fallback. Tests pin a backend with
+// otherwise), so the variable selects the training kernels as well as
+// the inference ones. Naming a backend the host cannot execute is a
+// diagnosed error, not a silent fallback. Tests pin a backend with
 // ScopedKernelBackend to compare backends inside one process.
 
 #include <cstddef>
@@ -38,7 +60,11 @@ struct ConvShape {
 ///   dense:  w[o][i] (row-major), wt[i][o] (transposed copy, only
 ///           valid when dense_wants_transposed; pass nullptr
 ///           otherwise), bias[o];
-///   relu:   in place.
+///   relu:   in place;
+///   conv2d_weight_grad: dy in CHW (the output gradient), x the
+///           forward input, dw/db laid out like w/bias;
+///   conv2d_input_grad: dy, w as above, dx laid out like x;
+///   dense_weight_grad / dense_input_grad: the same for dense layers.
 /// Output regions must not alias inputs.
 struct KernelOps {
   const char* name;
@@ -57,9 +83,22 @@ struct KernelOps {
   void (*dense)(const float* w, const float* wt, const float* bias,
                 const float* x, float* y, int in_f, int out_f);
   void (*relu)(float* x, std::size_t n);
+  /// dw += dL/dw and db += dL/db for one conv call.
+  void (*conv2d_weight_grad)(const float* dy, const float* x, float* dw,
+                             float* db, const ConvShape& s);
+  /// dx += dL/dx for one conv call.
+  void (*conv2d_input_grad)(const float* dy, const float* w, float* dx,
+                            const ConvShape& s);
+  /// dw += dL/dw and db += dL/db for one dense call.
+  void (*dense_weight_grad)(const float* dy, const float* x, float* dw,
+                            float* db, int in_f, int out_f);
+  /// dx += dL/dx for one dense call.
+  void (*dense_input_grad)(const float* dy, const float* w, float* dx,
+                           int in_f, int out_f);
 };
 
-/// The portable backend (bit-identical to the pre-kernel layer loops).
+/// The portable backend: the reference chains every other backend
+/// matches bit for bit.
 const KernelOps& scalar_ops() noexcept;
 
 /// The AVX2 backend, or nullptr when not compiled in (non-x86 build).
@@ -85,8 +124,14 @@ const KernelOps& resolve_backend(const std::string& choice);
 
 /// The process-wide backend: the ScopedKernelBackend override when one
 /// is active, otherwise the FTNAV_SIMD choice resolved once on first
-/// use. Engines capture this at construction.
+/// use. Engines capture this at construction; layers look it up on
+/// every forward/backward call.
 const KernelOps& active();
+
+/// Writes the transposed copy conv2d/dense read when *_wants_transposed:
+/// w is a [rows][cols] matrix (conv: [oc][ic*kh*kw], dense: [o][i]) and
+/// wt receives [cols][rows].
+void transpose(const float* w, float* wt, int rows, int cols);
 
 /// Shared scalar max-pool (not dispatched: it only selects existing
 /// quantized values, so it is backend-invariant by construction).

@@ -15,6 +15,9 @@
 // NEON path selects through a compare instead, which matches the
 // scalar chain for every input including NaN and -0.0.
 //
+// Training runs the scalar backward chains on this backend; only the
+// forward entries are vectorized here.
+//
 // On non-ARM architectures this TU compiles to a stub that reports the
 // backend as unavailable (mirroring kernels_avx2.cpp off x86).
 
@@ -190,13 +193,22 @@ void relu_neon(float* x, std::size_t n) {
   for (; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
 }
 
-constexpr KernelOps kNeonOps{"neon", /*dense_wants_transposed=*/true,
-                             /*conv_wants_transposed=*/true, conv2d_neon,
-                             dense_neon, relu_neon};
-
 }  // namespace
 
-const KernelOps* neon_ops() noexcept { return &kNeonOps; }
+const KernelOps* neon_ops() noexcept {
+  // The backward entries are the scalar chains (see kernels.h).
+  static const KernelOps ops{"neon",
+                             /*dense_wants_transposed=*/true,
+                             /*conv_wants_transposed=*/true,
+                             conv2d_neon,
+                             dense_neon,
+                             relu_neon,
+                             scalar_ops().conv2d_weight_grad,
+                             scalar_ops().conv2d_input_grad,
+                             scalar_ops().dense_weight_grad,
+                             scalar_ops().dense_input_grad};
+  return &ops;
+}
 
 }  // namespace ftnav::kernels
 

@@ -39,12 +39,6 @@ Conv2D::Conv2D(int in_channels, int out_channels, int kernel, int stride,
   // Biases start at zero (already value-initialized by resize).
 }
 
-std::size_t Conv2D::weight_index(int oc, int ic, int kh, int kw) const noexcept {
-  return ((static_cast<std::size_t>(oc) * in_channels_ + ic) * kernel_ + kh) *
-             kernel_ +
-         kw;
-}
-
 Shape Conv2D::output_shape(const Shape& in) const {
   if (in.channels != in_channels_)
     throw std::invalid_argument("Conv2D: channel mismatch");
@@ -54,65 +48,50 @@ Shape Conv2D::output_shape(const Shape& in) const {
                (in.width - kernel_) / stride_ + 1};
 }
 
+kernels::ConvShape Conv2D::kernel_shape(const Shape& in) const {
+  const Shape out = output_shape(in);
+  return kernels::ConvShape{in.channels, in.height,  in.width, out.channels,
+                            out.height,  out.width, kernel_,  stride_};
+}
+
 Tensor Conv2D::forward(const Tensor& input) {
-  const Shape out_shape = output_shape(input.shape());
+  const kernels::ConvShape s = kernel_shape(input.shape());
   cached_input_ = input;
-  Tensor out(out_shape);
-  const std::size_t bias_base = params_.size() - out_channels_;
-  for (int oc = 0; oc < out_channels_; ++oc) {
-    for (int oh = 0; oh < out_shape.height; ++oh) {
-      for (int ow = 0; ow < out_shape.width; ++ow) {
-        float acc = params_[bias_base + static_cast<std::size_t>(oc)];
-        const int ih0 = oh * stride_;
-        const int iw0 = ow * stride_;
-        for (int ic = 0; ic < in_channels_; ++ic) {
-          for (int kh = 0; kh < kernel_; ++kh) {
-            for (int kw = 0; kw < kernel_; ++kw) {
-              acc += params_[weight_index(oc, ic, kh, kw)] *
-                     input.get(ic, ih0 + kh, iw0 + kw);
-            }
-          }
-        }
-        out.ref(oc, oh, ow) = acc;
-      }
-    }
-  }
+  Tensor out(Shape{s.out_c, s.out_h, s.out_w});
+  const kernels::KernelOps& ops = kernels::active();
+  const float* wt = ops.conv_wants_transposed
+                        ? transposed_.get(params_, out_channels_,
+                                          in_channels_ * kernel_ * kernel_)
+                        : nullptr;
+  ops.conv2d(params_.data(), wt, params_.data() + weight_count(),
+             input.data(), out.data(), s);
   return out;
 }
 
-Tensor Conv2D::backward(const Tensor& grad_output) {
+void Conv2D::backward_parameters(const Tensor& grad_output) {
   if (cached_input_.empty())
     throw std::logic_error("Conv2D::backward before forward");
-  const Shape out_shape = grad_output.shape();
+  const kernels::ConvShape s = kernel_shape(cached_input_.shape());
+  if (grad_output.shape() != Shape{s.out_c, s.out_h, s.out_w})
+    throw std::invalid_argument("Conv2D::backward: gradient shape mismatch");
+  kernels::active().conv2d_weight_grad(grad_output.data(),
+                                       cached_input_.data(), grads_.data(),
+                                       grads_.data() + weight_count(), s);
+}
+
+Tensor Conv2D::backward(const Tensor& grad_output) {
+  backward_parameters(grad_output);
   Tensor grad_input(cached_input_.shape());
-  const std::size_t bias_base = params_.size() - out_channels_;
-  for (int oc = 0; oc < out_channels_; ++oc) {
-    for (int oh = 0; oh < out_shape.height; ++oh) {
-      for (int ow = 0; ow < out_shape.width; ++ow) {
-        const float g = grad_output.get(oc, oh, ow);
-        if (g == 0.0f) continue;
-        grads_[bias_base + static_cast<std::size_t>(oc)] += g;
-        const int ih0 = oh * stride_;
-        const int iw0 = ow * stride_;
-        for (int ic = 0; ic < in_channels_; ++ic) {
-          for (int kh = 0; kh < kernel_; ++kh) {
-            for (int kw = 0; kw < kernel_; ++kw) {
-              grads_[weight_index(oc, ic, kh, kw)] +=
-                  g * cached_input_.get(ic, ih0 + kh, iw0 + kw);
-              grad_input.ref(ic, ih0 + kh, iw0 + kw) +=
-                  g * params_[weight_index(oc, ic, kh, kw)];
-            }
-          }
-        }
-      }
-    }
-  }
+  kernels::active().conv2d_input_grad(grad_output.data(), params_.data(),
+                                      grad_input.data(),
+                                      kernel_shape(cached_input_.shape()));
   return grad_input;
 }
 
 void Conv2D::apply_gradients(float lr) {
   for (std::size_t i = 0; i < params_.size(); ++i)
     params_[i] -= lr * grads_[i];
+  transposed_.invalidate();
   zero_gradients();
 }
 
@@ -121,8 +100,19 @@ void Conv2D::zero_gradients() {
 }
 
 std::unique_ptr<Layer> Conv2D::clone() const {
-  auto copy = std::make_unique<Conv2D>(*this);
-  return copy;
+  return std::make_unique<Conv2D>(*this);
+}
+
+// ------------------------------------------------------ TransposedWeights
+
+const float* TransposedWeights::get(std::span<const float> weights, int out,
+                                    int fan_in) {
+  if (!valid_) {
+    wt_.resize(static_cast<std::size_t>(out) * fan_in);
+    kernels::transpose(weights.data(), wt_.data(), out, fan_in);
+    valid_ = true;
+  }
+  return wt_.data();
 }
 
 // ------------------------------------------------------------------ ReLU
@@ -264,14 +254,13 @@ Tensor Dense::forward(const Tensor& input) {
   cached_input_ = input;
   hot_index_ = kNoHotIndex;
   Tensor out(Shape{out_features_, 1, 1});
-  const std::size_t bias_base = params_.size() - out_features_;
-  for (int o = 0; o < out_features_; ++o) {
-    float acc = params_[bias_base + static_cast<std::size_t>(o)];
-    const std::size_t row = static_cast<std::size_t>(o) * in_features_;
-    for (int i = 0; i < in_features_; ++i)
-      acc += params_[row + static_cast<std::size_t>(i)] * input[i];
-    out[static_cast<std::size_t>(o)] = acc;
-  }
+  const kernels::KernelOps& ops = kernels::active();
+  const float* wt =
+      ops.dense_wants_transposed
+          ? transposed_.get(params_, out_features_, in_features_)
+          : nullptr;
+  ops.dense(params_.data(), wt, params_.data() + weight_count(), input.data(),
+            out.data(), in_features_, out_features_);
   return out;
 }
 
@@ -290,8 +279,10 @@ Tensor Dense::forward_one_hot(std::size_t index) {
   return out;
 }
 
-Tensor Dense::backward(const Tensor& grad_output) {
-  const std::size_t bias_base = params_.size() - out_features_;
+void Dense::backward_parameters(const Tensor& grad_output) {
+  if (grad_output.size() != static_cast<std::size_t>(out_features_))
+    throw std::invalid_argument("Dense::backward: gradient size mismatch");
+  const std::size_t bias_base = weight_count();
   if (hot_index_ != kNoHotIndex) {
     for (int o = 0; o < out_features_; ++o) {
       const float g = grad_output[static_cast<std::size_t>(o)];
@@ -299,28 +290,30 @@ Tensor Dense::backward(const Tensor& grad_output) {
       grads_[bias_base + static_cast<std::size_t>(o)] += g;
       grads_[static_cast<std::size_t>(o) * in_features_ + hot_index_] += g;
     }
-    return Tensor();
+    return;
   }
   if (cached_input_.empty())
     throw std::logic_error("Dense::backward before forward");
+  kernels::active().dense_weight_grad(grad_output.data(),
+                                      cached_input_.data(), grads_.data(),
+                                      grads_.data() + bias_base, in_features_,
+                                      out_features_);
+}
+
+Tensor Dense::backward(const Tensor& grad_output) {
+  backward_parameters(grad_output);
+  if (hot_index_ != kNoHotIndex) return Tensor();
   Tensor grad_input(cached_input_.shape());
-  for (int o = 0; o < out_features_; ++o) {
-    const float g = grad_output[static_cast<std::size_t>(o)];
-    if (g == 0.0f) continue;
-    grads_[bias_base + static_cast<std::size_t>(o)] += g;
-    const std::size_t row = static_cast<std::size_t>(o) * in_features_;
-    for (int i = 0; i < in_features_; ++i) {
-      grads_[row + static_cast<std::size_t>(i)] += g * cached_input_[i];
-      grad_input[static_cast<std::size_t>(i)] +=
-          g * params_[row + static_cast<std::size_t>(i)];
-    }
-  }
+  kernels::active().dense_input_grad(grad_output.data(), params_.data(),
+                                     grad_input.data(), in_features_,
+                                     out_features_);
   return grad_input;
 }
 
 void Dense::apply_gradients(float lr) {
   for (std::size_t i = 0; i < params_.size(); ++i)
     params_[i] -= lr * grads_[i];
+  transposed_.invalidate();
   zero_gradients();
 }
 

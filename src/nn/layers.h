@@ -6,6 +6,13 @@
 // contiguous float vector (weights then biases) so the quantized engine
 // can map every parametered layer onto a slice of the accelerator's
 // weight buffer and target faults at "Conv1" vs "FC2" (Fig. 7d).
+//
+// Conv2D and Dense run their forward and backward arithmetic through
+// the dispatched kernels (nn/kernels/kernels.h), the same code the
+// quantized engine runs, so FTNAV_SIMD selects the training kernels
+// too and every backend trains bit-identical parameters. For backends
+// that read a transposed weight copy, each layer keeps one, built on
+// the first forward after its parameters change.
 
 #include <cstddef>
 #include <memory>
@@ -13,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "nn/kernels/kernels.h"
 #include "nn/tensor.h"
 #include "util/rng.h"
 
@@ -42,9 +50,17 @@ class Layer {
 
   virtual Tensor forward(const Tensor& input) = 0;
   virtual Tensor backward(const Tensor& grad_output) = 0;
+  /// backward() without the input gradient: accumulates the parameter
+  /// gradients only. Network::backward calls it on the first layer,
+  /// whose input gradient nobody reads.
+  virtual void backward_parameters(const Tensor& grad_output) {
+    (void)backward(grad_output);
+  }
 
   /// Parameters as a flat mutable span (weights then biases); empty for
-  /// parameter-free layers.
+  /// parameter-free layers. Calling it marks the parameters as changed,
+  /// so write through the span before the next forward() and call
+  /// parameters() again to write after one.
   virtual std::span<float> parameters() { return {}; }
   virtual std::span<const float> parameters() const { return {}; }
   virtual std::span<float> gradients() { return {}; }
@@ -63,6 +79,28 @@ class Layer {
   std::string label_;
 };
 
+/// The transposed weight copy wt[fan_in][out] a layer hands the kernels
+/// when the active backend reads one. get() rebuilds it after
+/// invalidate(); copies start empty, so a clone() never carries a copy
+/// of the original's weights.
+class TransposedWeights {
+ public:
+  TransposedWeights() = default;
+  TransposedWeights(const TransposedWeights&) noexcept {}
+  TransposedWeights& operator=(const TransposedWeights&) noexcept {
+    invalidate();
+    return *this;
+  }
+
+  void invalidate() noexcept { valid_ = false; }
+  /// `weights` holds `out` rows of `fan_in` values.
+  const float* get(std::span<const float> weights, int out, int fan_in);
+
+ private:
+  std::vector<float> wt_;
+  bool valid_ = false;
+};
+
 /// 2-D convolution (no padding, square kernel, square stride).
 class Conv2D final : public Layer {
  public:
@@ -73,7 +111,11 @@ class Conv2D final : public Layer {
   Shape output_shape(const Shape& in) const override;
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  std::span<float> parameters() override { return params_; }
+  void backward_parameters(const Tensor& grad_output) override;
+  std::span<float> parameters() override {
+    transposed_.invalidate();
+    return params_;
+  }
   std::span<const float> parameters() const override { return params_; }
   std::span<float> gradients() override { return grads_; }
   void apply_gradients(float lr) override;
@@ -86,7 +128,11 @@ class Conv2D final : public Layer {
   int stride() const noexcept { return stride_; }
 
  private:
-  std::size_t weight_index(int oc, int ic, int kh, int kw) const noexcept;
+  std::size_t weight_count() const noexcept {
+    return params_.size() - static_cast<std::size_t>(out_channels_);
+  }
+  /// Kernel geometry for input shape `in` (validated).
+  kernels::ConvShape kernel_shape(const Shape& in) const;
 
   int in_channels_;
   int out_channels_;
@@ -95,6 +141,7 @@ class Conv2D final : public Layer {
   std::vector<float> params_;  // weights then biases
   std::vector<float> grads_;
   Tensor cached_input_;
+  TransposedWeights transposed_;
 };
 
 /// Rectified linear unit.
@@ -161,7 +208,11 @@ class Dense final : public Layer {
   /// not below in_features().
   Tensor forward_one_hot(std::size_t index);
   Tensor backward(const Tensor& grad_output) override;
-  std::span<float> parameters() override { return params_; }
+  void backward_parameters(const Tensor& grad_output) override;
+  std::span<float> parameters() override {
+    transposed_.invalidate();
+    return params_;
+  }
   std::span<const float> parameters() const override { return params_; }
   std::span<float> gradients() override { return grads_; }
   void apply_gradients(float lr) override;
@@ -174,12 +225,17 @@ class Dense final : public Layer {
  private:
   static constexpr std::size_t kNoHotIndex = static_cast<std::size_t>(-1);
 
+  std::size_t weight_count() const noexcept {
+    return params_.size() - static_cast<std::size_t>(out_features_);
+  }
+
   int in_features_;
   int out_features_;
   std::vector<float> params_;  // row-major [out][in] weights, then biases
   std::vector<float> grads_;
   Tensor cached_input_;
   std::size_t hot_index_ = kNoHotIndex;  // set by forward_one_hot
+  TransposedWeights transposed_;
 };
 
 }  // namespace ftnav

@@ -4,6 +4,14 @@
 
 namespace ftnav {
 
+namespace {
+
+/// Read-only access for the const members: the mutable parameters()
+/// overload marks a layer's parameters as changed.
+const Layer& view(const std::unique_ptr<Layer>& layer) { return *layer; }
+
+}  // namespace
+
 Network::Network(const Network& other) {
   layers_.reserve(other.layers_.size());
   for (const auto& layer : other.layers_) layers_.push_back(layer->clone());
@@ -46,10 +54,12 @@ Tensor Network::forward_one_hot(std::size_t index) {
 }
 
 Tensor Network::backward(const Tensor& grad_output) {
+  if (layers_.empty()) return Tensor();
   Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
+  for (auto it = layers_.rbegin(); it + 1 != layers_.rend(); ++it)
     g = (*it)->backward(g);
-  return g;
+  layers_.front()->backward_parameters(g);
+  return Tensor();
 }
 
 void Network::apply_gradients(float lr) {
@@ -62,7 +72,7 @@ void Network::zero_gradients() {
 
 std::size_t Network::parameter_count() const noexcept {
   std::size_t count = 0;
-  for (const auto& layer : layers_) count += layer->parameters().size();
+  for (const auto& layer : layers_) count += view(layer).parameters().size();
   return count;
 }
 
@@ -70,7 +80,7 @@ std::vector<float> Network::snapshot_parameters() const {
   std::vector<float> flat;
   flat.reserve(parameter_count());
   for (const auto& layer : layers_) {
-    const auto params = layer->parameters();
+    const auto params = view(layer).parameters();
     flat.insert(flat.end(), params.begin(), params.end());
   }
   return flat;
@@ -91,7 +101,7 @@ void Network::copy_parameters_into(std::span<float> out) const {
     throw std::invalid_argument("copy_parameters_into: size mismatch");
   std::size_t offset = 0;
   for (const auto& layer : layers_) {
-    const auto params = layer->parameters();
+    const auto params = view(layer).parameters();
     for (std::size_t i = 0; i < params.size(); ++i) out[offset + i] = params[i];
     offset += params.size();
   }
@@ -123,7 +133,7 @@ void Network::restore_parameters(std::span<const float> flat) {
 std::vector<std::size_t> Network::parametered_layers() const {
   std::vector<std::size_t> indices;
   for (std::size_t i = 0; i < layers_.size(); ++i)
-    if (!layers_[i]->parameters().empty()) indices.push_back(i);
+    if (!view(layers_[i]).parameters().empty()) indices.push_back(i);
   return indices;
 }
 
@@ -132,7 +142,7 @@ std::pair<std::size_t, std::size_t> Network::parameter_range(
   std::size_t offset = 0;
   std::size_t seen = 0;
   for (const auto& layer : layers_) {
-    const std::size_t count = layer->parameters().size();
+    const std::size_t count = view(layer).parameters().size();
     if (count == 0) continue;
     if (seen == parametered_index) return {offset, offset + count};
     offset += count;
@@ -144,7 +154,7 @@ std::pair<std::size_t, std::size_t> Network::parameter_range(
 std::vector<std::string> Network::parametered_labels() const {
   std::vector<std::string> labels;
   for (const auto& layer : layers_) {
-    if (layer->parameters().empty()) continue;
+    if (view(layer).parameters().empty()) continue;
     labels.push_back(layer->label().empty() ? to_string(layer->kind())
                                             : layer->label());
   }

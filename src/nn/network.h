@@ -48,7 +48,9 @@ class Network {
   Tensor forward_one_hot(std::size_t index);
 
   /// Backward pass from the loss gradient w.r.t. the network output;
-  /// accumulates parameter gradients in each layer.
+  /// accumulates parameter gradients in each layer. Returns an empty
+  /// tensor: no caller reads the network's input gradient, so the first
+  /// layer skips computing it (Layer::backward_parameters).
   Tensor backward(const Tensor& grad_output);
 
   /// SGD step on every layer, clearing gradients.

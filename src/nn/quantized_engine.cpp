@@ -152,22 +152,14 @@ void QuantizedInferenceEngine::load_weights() {
     // injection.
     wt_cache_.resize(wt_words_);
     for (const Op& op : program_) {
+      const float* w = weight_image_.data() + op.param_begin;
+      float* wt = wt_cache_.data() + op.wt_begin;
       if (op.kind == LayerKind::kDense && ops_->dense_wants_transposed) {
-        const float* w = weight_image_.data() + op.param_begin;
-        float* wt = wt_cache_.data() + op.wt_begin;
-        for (int o = 0; o < op.out_f; ++o)
-          for (int i = 0; i < op.in_f; ++i)
-            wt[static_cast<std::size_t>(i) * op.out_f + o] =
-                w[static_cast<std::size_t>(o) * op.in_f + i];
+        kernels::transpose(w, wt, op.out_f, op.in_f);
       } else if (op.kind == LayerKind::kConv2D &&
                  ops_->conv_wants_transposed) {
-        const float* w = weight_image_.data() + op.param_begin;
-        float* wt = wt_cache_.data() + op.wt_begin;
-        const int taps = op.conv.in_c * op.conv.kernel * op.conv.kernel;
-        for (int oc = 0; oc < op.conv.out_c; ++oc)
-          for (int t = 0; t < taps; ++t)
-            wt[static_cast<std::size_t>(t) * op.conv.out_c + oc] =
-                w[static_cast<std::size_t>(oc) * taps + t];
+        kernels::transpose(w, wt, op.conv.out_c,
+                           op.conv.in_c * op.conv.kernel * op.conv.kernel);
       }
     }
   }

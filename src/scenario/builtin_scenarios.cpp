@@ -9,6 +9,7 @@
 #include "envs/gridworld.h"
 #include "nn/c3f2.h"
 #include "nn/layers.h"
+#include "rl/dqn.h"
 #include "rl/mlp_q.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -1070,21 +1071,27 @@ Work drone_flight(const DroneModel& model) {
   return work;
 }
 
-/// One training episode (imitation or DDQN fine-tune): a flight whose
-/// per-step NN work is forward + backward + update.
-Work drone_training_episode(const DroneModel& model) {
-  Work work = model.forward.scaled(3.0 * model.max_steps);
+/// One training flight whose per-step NN work is `forwards` forward
+/// passes' worth: a backward costs about two forwards, so one forward +
+/// backward + update (an imitation or fine-tune step) is 3.
+Work drone_training_episode(const DroneModel& model, double forwards = 3.0) {
+  Work work = model.forward.scaled(forwards * model.max_steps);
   work.drone_steps = model.max_steps;
   return work;
 }
 
-/// train_drone_policy preamble for `policies` distinct policies.
+/// train_drone_policy preamble for `policies` distinct policies. A
+/// Double-DQN step acts with one forward, then trains on a replay batch
+/// whose every transition costs three forwards (online and target on
+/// the next state, online on the state) plus a backward.
 Work drone_setup(const ParamSet& params, const DroneModel& model,
                  double policies) {
   const DronePolicySpec spec = drone_policy_of(params);
-  const double episodes =
-      static_cast<double>(spec.imitation_episodes + spec.ddqn_episodes);
-  return drone_training_episode(model).scaled(episodes * policies);
+  const double ddqn_forwards = 1.0 + DqnConfig{}.batch_size * 5.0;
+  Work work = drone_training_episode(model).scaled(spec.imitation_episodes);
+  work += drone_training_episode(model, ddqn_forwards)
+              .scaled(spec.ddqn_episodes);
+  return work.scaled(policies);
 }
 
 /// Shared shape of the Fig. 7b-7e / 10b sweeps: `rows` series x the

@@ -3,14 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "experiments/drone_campaigns.h"
+#include "nn/kernels/kernels.h"
+#include "util/binary_io.h"
 
 namespace ftnav {
 namespace {
@@ -59,6 +63,34 @@ TEST(DronePolicy, TrainingProducesCompetentPolicy) {
   const double msf =
       mean_safe_flight(bundle.network, world, short_env(bundle), 2, rng);
   EXPECT_GT(msf, 5.0);
+}
+
+TEST(DronePolicy, TrainingMatchesRecordedDigestOnEveryBackend) {
+  // Policy training runs its conv/dense arithmetic on the dispatched
+  // kernels, so every backend must train the same parameter bytes.
+  // The digest was recorded from the scalar layer loops the kernels
+  // replaced (x86-64 build): imitation plus DDQN gradient steps.
+  DronePolicySpec spec = tiny_policy();
+  spec.ddqn_episodes = 4;
+  const DroneWorld world = DroneWorld::indoor_long();
+  std::vector<const kernels::KernelOps*> backends = {&kernels::scalar_ops()};
+  if (kernels::avx2_supported()) backends.push_back(kernels::avx2_ops());
+  if (kernels::neon_supported()) backends.push_back(kernels::neon_ops());
+  std::vector<std::uint64_t> digests;
+  for (const kernels::KernelOps* ops : backends) {
+    kernels::ScopedKernelBackend pin(*ops);
+    const std::vector<float> params =
+        train_drone_policy(world, spec).network.snapshot_parameters();
+    digests.push_back(io::fnv1a(std::span<const char>(
+        reinterpret_cast<const char*>(params.data()),
+        params.size() * sizeof(float))));
+    EXPECT_EQ(digests.back(), digests.front()) << ops->name;
+  }
+#if defined(__x86_64__)
+  // Other training arithmetic (SGD steps, DQN targets) is compiled with
+  // the toolchain's default FP contraction, which may fuse on AArch64.
+  EXPECT_EQ(digests.front(), 0x58583adc19b2e49aULL);
+#endif
 }
 
 TEST(DronePolicy, QuantizedEngineMsfTracksFloatMsf) {

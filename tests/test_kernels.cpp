@@ -1,10 +1,12 @@
 // Scalar-vs-SIMD bit-identity tests for the dispatched compute kernels
-// (src/nn/kernels/). The SIMD backends claim *exact* equality with the
-// scalar chain — not tolerance-based closeness — so every comparison
-// here is on the float bit pattern. Inputs are genuine Q-format values
-// (round-tripped through encode/decode) including the saturation
-// edges, and the geometry sweeps deliberately cross both the 4-lane
-// (NEON) and 8-lane (AVX2) boundaries to exercise remainder handling.
+// (src/nn/kernels/), forward and backward. The SIMD backends claim
+// *exact* equality with the scalar chain — not tolerance-based
+// closeness — so every comparison here is on the float bit pattern.
+// Forward inputs are genuine Q-format values (round-tripped through
+// encode/decode) including the saturation edges; backward inputs are
+// training-like floats with exact +0/-0 gradients. The geometry sweeps
+// deliberately cross both the 4-lane (NEON) and 8-lane (AVX2)
+// boundaries to exercise remainder handling.
 // Each SIMD backend runs the same matrix through its own fixture and
 // GTEST_SKIPs on hosts that cannot execute it.
 
@@ -13,6 +15,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/injector.h"
@@ -189,6 +193,180 @@ void run_faulted_dense(const KernelOps& simd) {
   expect_bit_identical(y_scalar, y_simd, "faulted dense");
 }
 
+// ---- Backward entries ------------------------------------------------------
+
+/// Conv geometry given by its input; out_h/out_w follow.
+ConvShape conv_geometry(int in_c, int in_hw, int out_c, int kernel,
+                        int stride) {
+  ConvShape s;
+  s.in_c = in_c;
+  s.in_h = s.in_w = in_hw;
+  s.out_c = out_c;
+  s.out_h = s.out_w = (in_hw - kernel) / stride + 1;
+  s.kernel = kernel;
+  s.stride = stride;
+  return s;
+}
+
+/// The three conv layers of the fast and the paper C3F2 presets (see
+/// make_c3f2), plus shapes whose channel counts leave SIMD remainders.
+std::vector<ConvShape> backward_conv_shapes() {
+  return {
+      conv_geometry(3, 39, 16, 5, 2),   // fast Conv1
+      conv_geometry(16, 9, 32, 3, 2),   // fast Conv2
+      conv_geometry(32, 4, 32, 3, 1),   // fast Conv3
+      conv_geometry(3, 103, 96, 7, 4),  // paper Conv1
+      conv_geometry(96, 12, 64, 5, 1),  // paper Conv2
+      conv_geometry(64, 8, 64, 3, 1),   // paper Conv3
+      conv_geometry(19, 7, 5, 3, 2),    // 8-channel vectors + 3 remainder
+      conv_geometry(9, 5, 3, 1, 1),     // 1x1 kernel, taps below 8
+  };
+}
+
+std::size_t input_count(const ConvShape& s) {
+  return static_cast<std::size_t>(s.in_c) * s.in_h * s.in_w;
+}
+std::size_t output_count(const ConvShape& s) {
+  return static_cast<std::size_t>(s.out_c) * s.out_h * s.out_w;
+}
+std::size_t weight_count(const ConvShape& s) {
+  return static_cast<std::size_t>(s.out_c) * s.in_c * s.kernel * s.kernel;
+}
+
+/// Output gradients as training produces them: about half exact zeros
+/// (ReLU and max-pool routing), a share of them -0.0.
+std::vector<float> sparse_gradients(std::size_t count, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> g(count);
+  for (float& v : g) {
+    const double u = rng.uniform();
+    v = u < 0.35 ? 0.0f
+        : u < 0.5 ? -0.0f
+                  : static_cast<float>(rng.normal(0.0, 0.05));
+  }
+  return g;
+}
+
+std::vector<float> normals(std::size_t count, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> values(count);
+  for (float& v : values) v = static_cast<float>(rng.normal(0.0, 1.0));
+  return values;
+}
+
+/// Runs both conv backward entries of `ops` on one case, accumulating
+/// into the given starting buffers (the entries add, never overwrite).
+struct ConvGrads {
+  std::vector<float> dw, db, dx;
+};
+ConvGrads conv_backward(const KernelOps& ops, const ConvShape& s,
+                        const std::vector<float>& dy,
+                        const std::vector<float>& x,
+                        const std::vector<float>& w, ConvGrads start) {
+  ops.conv2d_weight_grad(dy.data(), x.data(), start.dw.data(),
+                         start.db.data(), s);
+  ops.conv2d_input_grad(dy.data(), w.data(), start.dx.data(), s);
+  return start;
+}
+
+void run_conv_backward_matrix(const KernelOps& simd) {
+  std::uint64_t seed = 1000;
+  for (const ConvShape& s : backward_conv_shapes()) {
+    const auto dy = sparse_gradients(output_count(s), ++seed);
+    const auto x = normals(input_count(s), ++seed);
+    const auto w = normals(weight_count(s), ++seed);
+    const ConvGrads start{normals(weight_count(s), ++seed),
+                          normals(static_cast<std::size_t>(s.out_c), ++seed),
+                          normals(input_count(s), ++seed)};
+    const ConvGrads scalar =
+        conv_backward(kernels::scalar_ops(), s, dy, x, w, start);
+    const ConvGrads vec = conv_backward(simd, s, dy, x, w, start);
+    SCOPED_TRACE("in_c=" + std::to_string(s.in_c) + " in_hw=" +
+                 std::to_string(s.in_h) + " out_c=" + std::to_string(s.out_c));
+    expect_bit_identical(scalar.dw, vec.dw, "conv weight grad");
+    expect_bit_identical(scalar.db, vec.db, "conv bias grad");
+    expect_bit_identical(scalar.dx, vec.dx, "conv input grad");
+  }
+}
+
+void run_conv_backward_zero_gradient_terms(const KernelOps& ops) {
+  // An inf input covered only by outputs whose g is +0 or -0, and an
+  // inf weight in a channel whose g is all zeros: those terms add
+  // nothing, so no NaN appears and untouched elements keep their -0.0.
+  const ConvShape s = conv_geometry(16, 9, 32, 3, 2);
+  auto dy = sparse_gradients(output_count(s), 7);
+  auto x = normals(input_count(s), 8);
+  auto w = normals(weight_count(s), 9);
+  const int ih = 4, iw = 4;  // input element (ic 5, 4, 4)
+  x[(static_cast<std::size_t>(5) * s.in_h + ih) * s.in_w + iw] =
+      std::numeric_limits<float>::infinity();
+  const std::size_t plane = static_cast<std::size_t>(s.out_h) * s.out_w;
+  for (int oc = 0; oc < s.out_c; ++oc)
+    for (int oh = 0; oh < s.out_h; ++oh)
+      for (int ow = 0; ow < s.out_w; ++ow) {
+        const bool covers = ih - oh * s.stride >= 0 &&
+                            ih - oh * s.stride < s.kernel &&
+                            iw - ow * s.stride >= 0 &&
+                            iw - ow * s.stride < s.kernel;
+        if (covers || oc == 3)
+          dy[oc * plane + static_cast<std::size_t>(oh) * s.out_w + ow] =
+              (oh + ow) % 2 == 0 ? 0.0f : -0.0f;
+      }
+  const std::size_t taps = static_cast<std::size_t>(s.in_c) * 9;
+  w[3 * taps + 10] = std::numeric_limits<float>::infinity();
+  const ConvGrads start{
+      std::vector<float>(weight_count(s), -0.0f),
+      std::vector<float>(static_cast<std::size_t>(s.out_c), -0.0f),
+      std::vector<float>(input_count(s), -0.0f)};
+  const ConvGrads scalar =
+      conv_backward(kernels::scalar_ops(), s, dy, x, w, start);
+  const ConvGrads got = conv_backward(ops, s, dy, x, w, start);
+  expect_bit_identical(scalar.dw, got.dw, "conv weight grad");
+  expect_bit_identical(scalar.db, got.db, "conv bias grad");
+  expect_bit_identical(scalar.dx, got.dx, "conv input grad");
+  for (const auto* grads : {&got.dw, &got.db, &got.dx})
+    for (const float v : *grads) ASSERT_TRUE(std::isfinite(v));
+  for (std::size_t t = 0; t < taps; ++t)  // channel 3: every g is zero
+    ASSERT_EQ(bits_of(got.dw[3 * taps + t]), bits_of(-0.0f)) << "tap " << t;
+  EXPECT_EQ(bits_of(got.db[3]), bits_of(-0.0f));
+}
+
+void run_dense_backward_matrix(const KernelOps& simd) {
+  std::uint64_t seed = 2000;
+  for (const int in_f : {1, 5, 8, 48, 128, 2304}) {
+    for (const int out_f : {1, 4, 9, 25, 128}) {
+      const std::size_t wn = static_cast<std::size_t>(in_f) * out_f;
+      auto dy = sparse_gradients(static_cast<std::size_t>(out_f), ++seed);
+      auto x = normals(static_cast<std::size_t>(in_f), ++seed);
+      auto w = normals(wn, ++seed);
+      if (out_f > 1) {  // an inf weight and input under g == 0
+        dy[1] = -0.0f;
+        w[static_cast<std::size_t>(in_f)] =
+            std::numeric_limits<float>::infinity();
+      }
+      const auto dw0 = normals(wn, ++seed);
+      const auto db0 = normals(static_cast<std::size_t>(out_f), ++seed);
+      const auto dx0 = normals(static_cast<std::size_t>(in_f), ++seed);
+      auto run = [&](const KernelOps& ops) {
+        ConvGrads out{dw0, db0, dx0};
+        ops.dense_weight_grad(dy.data(), x.data(), out.dw.data(),
+                              out.db.data(), in_f, out_f);
+        ops.dense_input_grad(dy.data(), w.data(), out.dx.data(), in_f,
+                             out_f);
+        return out;
+      };
+      const ConvGrads scalar = run(kernels::scalar_ops());
+      const ConvGrads vec = run(simd);
+      SCOPED_TRACE("in_f=" + std::to_string(in_f) +
+                   " out_f=" + std::to_string(out_f));
+      expect_bit_identical(scalar.dw, vec.dw, "dense weight grad");
+      expect_bit_identical(scalar.db, vec.db, "dense bias grad");
+      expect_bit_identical(scalar.dx, vec.dx, "dense input grad");
+      for (const float v : vec.dx) ASSERT_TRUE(std::isfinite(v));
+    }
+  }
+}
+
 // ---- AVX2 ----------------------------------------------------------------
 
 class Avx2BitIdentity : public ::testing::Test {
@@ -218,6 +396,18 @@ TEST_F(Avx2BitIdentity, FaultedWeightImagesStayBitIdentical) {
   run_faulted_dense(*simd_);
 }
 
+TEST_F(Avx2BitIdentity, ConvBackwardOnC3F2Shapes) {
+  run_conv_backward_matrix(*simd_);
+}
+
+TEST_F(Avx2BitIdentity, ConvBackwardSkipsZeroGradientTerms) {
+  run_conv_backward_zero_gradient_terms(*simd_);
+}
+
+TEST_F(Avx2BitIdentity, DenseBackwardAcrossWidths) {
+  run_dense_backward_matrix(*simd_);
+}
+
 // ---- NEON ----------------------------------------------------------------
 
 class NeonBitIdentity : public ::testing::Test {
@@ -245,6 +435,18 @@ TEST_F(NeonBitIdentity, ReluIncludingSignedZeroAndRemainder) {
 
 TEST_F(NeonBitIdentity, FaultedWeightImagesStayBitIdentical) {
   run_faulted_dense(*simd_);
+}
+
+TEST_F(NeonBitIdentity, ConvBackwardOnC3F2Shapes) {
+  run_conv_backward_matrix(*simd_);
+}
+
+TEST_F(NeonBitIdentity, ConvBackwardSkipsZeroGradientTerms) {
+  run_conv_backward_zero_gradient_terms(*simd_);
+}
+
+TEST_F(NeonBitIdentity, DenseBackwardAcrossWidths) {
+  run_dense_backward_matrix(*simd_);
 }
 
 // ---- Dispatch ------------------------------------------------------------
@@ -282,6 +484,17 @@ TEST(Kernels, ScopedBackendOverridesActive) {
     kernels::ScopedKernelBackend pin(*kernels::neon_ops());
     EXPECT_STREQ(kernels::active().name, "neon");
   }
+}
+
+TEST(Kernels, ScalarConvBackwardSkipsZeroGradientTerms) {
+  run_conv_backward_zero_gradient_terms(kernels::scalar_ops());
+}
+
+TEST(Kernels, TransposeSwapsRowsAndColumns) {
+  const std::vector<float> w = {1, 2, 3, 4, 5, 6};  // 2 rows x 3 cols
+  std::vector<float> wt(6);
+  kernels::transpose(w.data(), wt.data(), 2, 3);
+  EXPECT_EQ(wt, (std::vector<float>{1, 4, 2, 5, 3, 6}));
 }
 
 TEST(Kernels, MaxPoolSelectsFirstOfEqualMaxima) {

@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <span>
+#include <utility>
+#include <vector>
 
+#include "nn/kernels/kernels.h"
 #include "nn/layers.h"
+#include "nn/network.h"
 
 namespace ftnav {
 namespace {
@@ -59,24 +66,26 @@ void check_param_gradient(Layer& layer, const Tensor& input,
   Tensor grad_out(out.shape());
   for (std::size_t i = 0; i < out.size(); ++i) grad_out[i] = loss_weights[i];
   (void)layer.backward(grad_out);
-  auto params = layer.parameters();
+  // Each write re-fetches parameters(): a span only carries writes up
+  // to the next forward().
+  const std::size_t count = layer.parameters().size();
   auto grads = layer.gradients();
-  ASSERT_EQ(params.size(), grads.size());
+  ASSERT_EQ(count, grads.size());
 
   const float eps = 1e-3f;
-  for (std::size_t i = 0; i < params.size(); i += 11) {
-    const float saved = params[i];
-    params[i] = saved + eps;
+  for (std::size_t i = 0; i < count; i += 11) {
+    const float saved = layer.parameters()[i];
+    layer.parameters()[i] = saved + eps;
     double loss_plus = 0.0;
     const Tensor out_plus = layer.forward(input);
     for (std::size_t k = 0; k < out_plus.size(); ++k)
       loss_plus += static_cast<double>(out_plus[k]) * loss_weights[k];
-    params[i] = saved - eps;
+    layer.parameters()[i] = saved - eps;
     double loss_minus = 0.0;
     const Tensor out_minus = layer.forward(input);
     for (std::size_t k = 0; k < out_minus.size(); ++k)
       loss_minus += static_cast<double>(out_minus[k]) * loss_weights[k];
-    params[i] = saved;
+    layer.parameters()[i] = saved;
     const double numeric = (loss_plus - loss_minus) / (2.0 * eps);
     EXPECT_NEAR(grads[i], numeric, tolerance) << "param index " << i;
   }
@@ -275,6 +284,108 @@ TEST(Layers, CloneIsDeepForParams) {
   auto clone = dense.clone();
   clone->parameters()[0] = 123.0f;
   EXPECT_NE(dense.parameters()[0], 123.0f);
+}
+
+// ------------------------------------------------ transposed-weight cache
+// Wide layers (16+ outputs) make the SIMD backends read each layer's
+// cached transposed weights; every path that writes the parameters
+// must make the next forward() see the new values.
+
+std::vector<const kernels::KernelOps*> host_backends() {
+  std::vector<const kernels::KernelOps*> backends = {&kernels::scalar_ops()};
+  if (kernels::avx2_supported()) backends.push_back(kernels::avx2_ops());
+  if (kernels::neon_supported()) backends.push_back(kernels::neon_ops());
+  return backends;
+}
+
+void expect_same_bits(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0);
+}
+
+/// Writes `values` through layer.parameters().
+void write_parameters(Layer& layer, std::span<const float> values) {
+  const std::span<float> params = layer.parameters();
+  ASSERT_EQ(params.size(), values.size());
+  std::copy(values.begin(), values.end(), params.begin());
+}
+
+TEST(Layers, ForwardSeesWritesThroughParameters) {
+  for (const kernels::KernelOps* ops : host_backends()) {
+    SCOPED_TRACE(ops->name);
+    kernels::ScopedKernelBackend pin(*ops);
+    Rng rng(40);
+    Conv2D conv(3, 16, 3, 2, rng);
+    Dense dense(32, 24, rng);
+    const Tensor image = random_tensor(Shape{3, 9, 9}, rng);
+    const Tensor features = random_tensor(Shape{32, 1, 1}, rng);
+    (void)conv.forward(image);  // builds the caches
+    (void)dense.forward(features);
+
+    Rng fresh_rng(41);
+    Conv2D fresh_conv(3, 16, 3, 2, fresh_rng);
+    Dense fresh_dense(32, 24, fresh_rng);
+    write_parameters(conv, std::as_const(fresh_conv).parameters());
+    write_parameters(dense, std::as_const(fresh_dense).parameters());
+    expect_same_bits(conv.forward(image), fresh_conv.forward(image));
+    expect_same_bits(dense.forward(features), fresh_dense.forward(features));
+  }
+}
+
+TEST(Layers, ForwardSeesAppliedGradients) {
+  for (const kernels::KernelOps* ops : host_backends()) {
+    SCOPED_TRACE(ops->name);
+    kernels::ScopedKernelBackend pin(*ops);
+    Rng rng(42);
+    Conv2D conv(3, 16, 3, 1, rng);
+    const Tensor image = random_tensor(Shape{3, 6, 6}, rng);
+    const Tensor out = conv.forward(image);
+    (void)conv.backward(random_tensor(out.shape(), rng));
+    conv.apply_gradients(0.5f);
+
+    Conv2D fresh(3, 16, 3, 1, rng);
+    write_parameters(fresh, std::as_const(conv).parameters());
+    expect_same_bits(conv.forward(image), fresh.forward(image));
+  }
+}
+
+TEST(Layers, CloneForwardsItsOwnParameters) {
+  for (const kernels::KernelOps* ops : host_backends()) {
+    SCOPED_TRACE(ops->name);
+    kernels::ScopedKernelBackend pin(*ops);
+    Rng rng(43);
+    Dense dense(16, 16, rng);
+    const Tensor features = random_tensor(Shape{16, 1, 1}, rng);
+    const Tensor before = dense.forward(features);  // builds the cache
+    std::unique_ptr<Layer> clone = dense.clone();
+    Dense fresh(16, 16, rng);
+    write_parameters(*clone, std::as_const(fresh).parameters());
+    expect_same_bits(clone->forward(features), fresh.forward(features));
+    expect_same_bits(dense.forward(features), before);
+  }
+}
+
+TEST(Layers, ForwardSeesRestoredNetworkParameters) {
+  auto build = [](Rng& rng) {
+    Network net;
+    net.add(std::make_unique<Conv2D>(3, 16, 3, 2, rng));
+    net.add(std::make_unique<ReLU>());
+    net.add(std::make_unique<Flatten>());
+    net.add(std::make_unique<Dense>(16 * 4 * 4, 24, rng));
+    return net;
+  };
+  for (const kernels::KernelOps* ops : host_backends()) {
+    SCOPED_TRACE(ops->name);
+    kernels::ScopedKernelBackend pin(*ops);
+    Rng rng(44), fresh_rng(45);
+    Network net = build(rng);
+    const Tensor image = random_tensor(Shape{3, 9, 9}, rng);
+    (void)net.forward(image);  // builds the caches
+    Network fresh = build(fresh_rng);
+    net.restore_parameters(fresh.snapshot_parameters());
+    expect_same_bits(net.forward(image), fresh.forward(image));
+  }
 }
 
 TEST(Layers, KindNamesAndLabels) {

@@ -144,6 +144,35 @@ TEST(Network, GradientSnapshotLayout) {
   for (float g : net.snapshot_gradients()) EXPECT_EQ(g, 0.0f);
 }
 
+TEST(Network, BackwardSkipsOnlyTheFirstInputGradient) {
+  // Network::backward returns no input gradient, yet leaves every
+  // layer's parameter gradients exactly as backward() through each
+  // layer in turn does.
+  Rng rng(12);
+  Network net = make_c3f2(C3F2Config{}, rng);
+  Network manual = net;
+  Tensor input(C3F2Config{}.input_shape());
+  for (std::size_t i = 0; i < input.size(); ++i)
+    input[i] = static_cast<float>(rng.uniform());
+  const Tensor out = net.forward(input);
+  (void)manual.forward(input);
+  Tensor grad(out.shape());
+  grad[3] = 0.25f;
+  grad[7] = -0.5f;
+  EXPECT_TRUE(net.backward(grad).empty());
+  Tensor g = grad;
+  for (std::size_t i = manual.layer_count(); i-- > 0;)
+    g = manual.layer(i).backward(g);
+  EXPECT_EQ(g.shape(), input.shape());
+  const std::vector<float> got = net.snapshot_gradients();
+  const std::vector<float> want = manual.snapshot_gradients();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << "gradient " << i;
+}
+
 TEST(Network, TrainingReducesLossOnRegression) {
   // End-to-end sanity: SGD on a fixed input-target pair converges.
   Rng rng(8);
