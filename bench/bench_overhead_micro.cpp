@@ -10,11 +10,13 @@
 // stable run to run; only the timings vary.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/anomaly_detector.h"
 #include "core/injector.h"
 #include "nn/c3f2.h"
+#include "nn/kernels/kernels.h"
 #include "nn/quantized_engine.h"
 #include "util/rng.h"
 
@@ -120,6 +122,85 @@ int main() {
       for (std::size_t i = 0; i < ops; ++i)
         acc += detector.filter(0, probe[i & 1023]);
       g_sink = g_sink + acc;
+    });
+  }
+
+  // The dispatched forward primitives on the fast C3F2 layer shapes
+  // (see make_c3f2), multiply-accumulates as ops: the conv and dense
+  // kernels that both the quantized engine (trials) and the float
+  // layers (policy training) run.
+  {
+    const kernels::KernelOps& ops = kernels::active();
+    Rng rng(config.seed + 4);
+    const auto randoms = [&](std::size_t n) {
+      std::vector<float> v(n);
+      for (float& e : v) e = static_cast<float>(rng.normal(0.0, 0.5));
+      return v;
+    };
+    // Weights, their transposed copy, bias, input and output of one
+    // layer.
+    struct Layer {
+      std::vector<float> w, wt, b, x, y;
+    };
+    const auto make_layer = [&](int rows, int cols, std::size_t in,
+                                std::size_t out) {
+      Layer l{randoms(static_cast<std::size_t>(rows) * cols), {},
+              randoms(static_cast<std::size_t>(rows)), randoms(in),
+              std::vector<float>(out)};
+      l.wt.resize(l.w.size());
+      kernels::transpose(l.w.data(), l.wt.data(), rows, cols);
+      return l;
+    };
+
+    const kernels::ConvShape conv_shapes[] = {
+        {3, 39, 39, 16, 18, 18, 5, 2},  // Conv1
+        {16, 9, 9, 32, 4, 4, 3, 2},     // Conv2
+        {32, 4, 4, 32, 2, 2, 3, 1},     // Conv3
+    };
+    std::vector<Layer> convs;
+    std::size_t conv_macs = 0;
+    for (const kernels::ConvShape& c : conv_shapes) {
+      const int taps = c.in_c * c.kernel * c.kernel;
+      const std::size_t out = static_cast<std::size_t>(c.out_c) * c.out_h *
+                              c.out_w;
+      convs.push_back(make_layer(c.out_c, taps,
+                                 static_cast<std::size_t>(c.in_c) * c.in_h *
+                                     c.in_w,
+                                 out));
+      conv_macs += out * static_cast<std::size_t>(taps);
+    }
+    const std::size_t conv_passes = 2'000 * scale;
+    micro.section("conv2d_c3f2_fast", conv_passes * conv_macs, [&] {
+      for (std::size_t i = 0; i < conv_passes; ++i)
+        for (std::size_t l = 0; l < convs.size(); ++l)
+          ops.conv2d(convs[l].w.data(),
+                     ops.conv_wants_transposed ? convs[l].wt.data() : nullptr,
+                     convs[l].b.data(), convs[l].x.data(), convs[l].y.data(),
+                     conv_shapes[l]);
+      g_sink = g_sink + convs.back().y[0];
+    });
+
+    const struct { int in_f, out_f; } dense_shapes[] = {
+        {128, 128},  // FC1
+        {128, 25},   // FC2
+    };
+    std::vector<Layer> denses;
+    std::size_t dense_macs = 0;
+    for (const auto& d : dense_shapes) {
+      denses.push_back(make_layer(d.out_f, d.in_f,
+                                  static_cast<std::size_t>(d.in_f),
+                                  static_cast<std::size_t>(d.out_f)));
+      dense_macs += static_cast<std::size_t>(d.in_f) * d.out_f;
+    }
+    const std::size_t dense_passes = 50'000 * scale;
+    micro.section("dense_c3f2_fc", dense_passes * dense_macs, [&] {
+      for (std::size_t i = 0; i < dense_passes; ++i)
+        for (std::size_t l = 0; l < denses.size(); ++l)
+          ops.dense(denses[l].w.data(),
+                    ops.dense_wants_transposed ? denses[l].wt.data() : nullptr,
+                    denses[l].b.data(), denses[l].x.data(), denses[l].y.data(),
+                    dense_shapes[l].in_f, dense_shapes[l].out_f);
+      g_sink = g_sink + denses.back().y[0];
     });
   }
 

@@ -9,9 +9,13 @@
 // independent elements while keeping every element's scalar chain
 // intact, so each lane performs exactly the operations the scalar
 // backend performs for that element and the results are bit-identical
-// for every backend and lane width. Kernel translation units are
-// compiled with -ffp-contract=off so no backend fuses the multiply-add
-// chain into FMAs.
+// for every backend and lane width. The order in which a backend
+// visits elements is free: AVX2 runs register tiles of several output
+// positions and channel blocks at once, with a masked block for the
+// channel tail (see kernels_avx2.cpp), which changes only how many
+// chains are in flight. Kernel translation units are compiled with
+// -ffp-contract=off so no backend fuses the multiply-add chain into
+// FMAs.
 //
 // The backward entries follow the same contract. Each accumulates into
 // caller-owned gradient buffers (+=, never overwrite) with the chain
@@ -76,7 +80,8 @@ struct KernelOps {
   /// (contiguous across output channels for a fixed tap, so SIMD
   /// lanes covering neighboring output channels load one vector per
   /// tap instead of gathering strided input columns). Built by the
-  /// caller alongside the dense cache.
+  /// caller alongside the dense cache. AVX2 requires it for every
+  /// out_c: narrow layers run as one masked channel block.
   bool conv_wants_transposed;
   void (*conv2d)(const float* w, const float* wt, const float* bias,
                  const float* x, float* y, const ConvShape& s);

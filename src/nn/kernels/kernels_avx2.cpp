@@ -8,9 +8,19 @@
 // this TU is compiled with -ffp-contract=off, and -mavx2 does not
 // enable FMA codegen). IEEE-754 single-precision mul/add are identical
 // scalar vs vector, so results are bit-identical to the scalar
-// backend; conv remainder elements (sizes not divisible by 8) run the
-// scalar chain directly, and dense runs its remainder as one masked
-// vector.
+// backend.
+//
+// The forward kernels are register-blocked so one pass over the taps
+// keeps several independent chains in flight instead of waiting on
+// one add chain per vector. Conv has one loop nest: a tile covers 4
+// consecutive flat output positions x 2 eight-channel blocks (1 block
+// where out_c leaves only one), loading each tap's weight vectors once
+// for all positions and sharing each input broadcast across blocks;
+// leftover positions run as 1-position tiles. Dense runs 32-output
+// tiles (4 blocks sharing each x broadcast), then single blocks. A
+// channel/output count that is not a multiple of 8 ends in one masked
+// block (masked weight/bias loads, only valid lanes stored), so there
+// is no scalar remainder chain and no column/gather path.
 //
 // The conv backward kernels (training) vectorize across elements that
 // share one output gradient g: the taps of a weight row, or the input
@@ -33,165 +43,141 @@ namespace ftnav::kernels {
 
 namespace {
 
-void conv2d_avx2(const float* w, const float* wt, const float* bias,
-                 const float* x, float* y, const ConvShape& s) {
-  if (s.out_c >= 8 && wt != nullptr) {
-    // Lane j handles output channel oc+j at a fixed spatial position,
-    // through the transposed weights wt[ic][kh][kw][oc] (contiguous
-    // across output channels for a fixed tap): broadcast one input
-    // value, load 8 neighboring output-channel weights, vmulps +
-    // vaddps. No gathers regardless of stride, and full lanes even
-    // when the output feature map is tiny (late conv stages) -- the
-    // geometry where column vectorization runs mostly scalar.
-    const std::size_t plane = static_cast<std::size_t>(s.out_h) * s.out_w;
-    for (int oh = 0; oh < s.out_h; ++oh) {
-      for (int ow = 0; ow < s.out_w; ++ow) {
-        const int ih0 = oh * s.stride;
-        const int iw0 = ow * s.stride;
-        int oc = 0;
-        for (; oc + 8 <= s.out_c; oc += 8) {
-          __m256 acc = _mm256_loadu_ps(bias + oc);
-          const float* wp = wt + oc;
-          for (int ic = 0; ic < s.in_c; ++ic) {
-            for (int kh = 0; kh < s.kernel; ++kh) {
-              const float* xrow =
-                  x + (static_cast<std::size_t>(ic) * s.in_h + (ih0 + kh)) *
-                          s.in_w +
-                  iw0;
-              for (int kw = 0; kw < s.kernel; ++kw) {
-                const __m256 wv = _mm256_loadu_ps(wp);
-                const __m256 xv = _mm256_broadcast_ss(xrow + kw);
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(wv, xv));
-                wp += s.out_c;
-              }
-            }
-          }
-          alignas(32) float lanes[8];
-          _mm256_store_ps(lanes, acc);
-          float* ybase = y + static_cast<std::size_t>(oc) * plane +
-                         static_cast<std::size_t>(oh) * s.out_w + ow;
-          for (int j = 0; j < 8; ++j)
-            ybase[static_cast<std::size_t>(j) * plane] = lanes[j];
-        }
-        // Remainder output channels: the scalar chain verbatim.
-        for (; oc < s.out_c; ++oc) {
-          float acc = bias[oc];
-          for (int ic = 0; ic < s.in_c; ++ic) {
-            for (int kh = 0; kh < s.kernel; ++kh) {
-              const float* wrow =
-                  w + ((static_cast<std::size_t>(oc) * s.in_c + ic) *
-                           s.kernel +
-                       kh) *
-                          s.kernel;
-              const float* xrow =
-                  x + (static_cast<std::size_t>(ic) * s.in_h + (ih0 + kh)) *
-                          s.in_w +
-                  iw0;
-              for (int kw = 0; kw < s.kernel; ++kw)
-                acc += wrow[kw] * xrow[kw];
-            }
-          }
-          y[static_cast<std::size_t>(oc) * plane +
-            static_cast<std::size_t>(oh) * s.out_w + ow] = acc;
-        }
-      }
-    }
-    return;
+/// Selects the first n (1..8) of 8 lanes.
+__m256i lane_mask(int n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(n),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// One conv tile: P consecutive flat output positions from `pos` (a
+/// tile may cross an output row: each position keeps its own input
+/// base pointer) x B eight-channel blocks from output channel `oc`.
+/// Each tap loads its B weight vectors once for all P positions and
+/// each input broadcast feeds all B blocks, so P*B independent chains
+/// are in flight. With kMaskLast the last block covers the out_c % 8
+/// tail: its weight/bias lanes past out_c load as zero (no read past
+/// the end) and are never stored.
+template <int P, int B, bool kMaskLast>
+void conv_tile(const float* wt, const float* bias, const float* x, float* y,
+               const ConvShape& s, int pos, int oc, __m256i tail) {
+  const auto load = [&](const float* p, int b) {
+    return kMaskLast && b == B - 1 ? _mm256_maskload_ps(p, tail)
+                                   : _mm256_loadu_ps(p);
+  };
+  const float* xbase[P];
+  for (int p = 0; p < P; ++p) {
+    const int oh = (pos + p) / s.out_w;
+    const int ow = (pos + p) % s.out_w;
+    xbase[p] = x + static_cast<std::size_t>(oh) * s.stride * s.in_w +
+               static_cast<std::size_t>(ow) * s.stride;
   }
-  // Narrow-out_c fallback: lane j handles output column ow+j, reading
-  // input column (ow+j)*stride + kw: contiguous for stride 1, a gather
-  // otherwise.
-  const __m256i gather_index = _mm256_setr_epi32(
-      0, s.stride, 2 * s.stride, 3 * s.stride, 4 * s.stride, 5 * s.stride,
-      6 * s.stride, 7 * s.stride);
-  for (int oc = 0; oc < s.out_c; ++oc) {
-    for (int oh = 0; oh < s.out_h; ++oh) {
-      const int ih0 = oh * s.stride;
-      float* yrow = y + (static_cast<std::size_t>(oc) * s.out_h + oh) * s.out_w;
-      int ow = 0;
-      for (; ow + 8 <= s.out_w; ow += 8) {
-        __m256 acc = _mm256_broadcast_ss(bias + oc);
-        const int iw0 = ow * s.stride;
-        for (int ic = 0; ic < s.in_c; ++ic) {
-          for (int kh = 0; kh < s.kernel; ++kh) {
-            const float* wrow =
-                w + ((static_cast<std::size_t>(oc) * s.in_c + ic) * s.kernel +
-                     kh) *
-                        s.kernel;
-            const float* xrow =
-                x + (static_cast<std::size_t>(ic) * s.in_h + (ih0 + kh)) *
-                        s.in_w +
-                iw0;
-            for (int kw = 0; kw < s.kernel; ++kw) {
-              const __m256 wv = _mm256_broadcast_ss(wrow + kw);
-              const __m256 xv =
-                  s.stride == 1
-                      ? _mm256_loadu_ps(xrow + kw)
-                      : _mm256_i32gather_ps(xrow + kw, gather_index, 4);
-              acc = _mm256_add_ps(acc, _mm256_mul_ps(wv, xv));
-            }
-          }
+  __m256 acc[P][B];
+  for (int b = 0; b < B; ++b) {
+    const __m256 bv = load(bias + oc + 8 * b, b);
+    for (int p = 0; p < P; ++p) acc[p][b] = bv;
+  }
+  const float* wp = wt + oc;
+  for (int ic = 0; ic < s.in_c; ++ic) {
+    for (int kh = 0; kh < s.kernel; ++kh) {
+      const std::size_t row =
+          (static_cast<std::size_t>(ic) * s.in_h + kh) * s.in_w;
+      for (int kw = 0; kw < s.kernel; ++kw, wp += s.out_c) {
+        __m256 wv[B];
+        for (int b = 0; b < B; ++b) wv[b] = load(wp + 8 * b, b);
+        for (int p = 0; p < P; ++p) {
+          const __m256 xv = _mm256_broadcast_ss(xbase[p] + row + kw);
+          for (int b = 0; b < B; ++b)
+            acc[p][b] = _mm256_add_ps(acc[p][b], _mm256_mul_ps(wv[b], xv));
         }
-        _mm256_storeu_ps(yrow + ow, acc);
-      }
-      // Remainder columns: the scalar chain verbatim.
-      for (; ow < s.out_w; ++ow) {
-        float acc = bias[oc];
-        const int iw0 = ow * s.stride;
-        for (int ic = 0; ic < s.in_c; ++ic) {
-          for (int kh = 0; kh < s.kernel; ++kh) {
-            const float* wrow =
-                w + ((static_cast<std::size_t>(oc) * s.in_c + ic) * s.kernel +
-                     kh) *
-                        s.kernel;
-            const float* xrow =
-                x + (static_cast<std::size_t>(ic) * s.in_h + (ih0 + kh)) *
-                        s.in_w +
-                iw0;
-            for (int kw = 0; kw < s.kernel; ++kw) acc += wrow[kw] * xrow[kw];
-          }
-        }
-        yrow[ow] = acc;
       }
     }
+  }
+  alignas(32) float lanes[P][8 * B];
+  for (int p = 0; p < P; ++p)
+    for (int b = 0; b < B; ++b) _mm256_store_ps(&lanes[p][8 * b], acc[p][b]);
+  const std::size_t plane = static_cast<std::size_t>(s.out_h) * s.out_w;
+  const int valid = kMaskLast ? s.out_c - oc : 8 * B;
+  for (int j = 0; j < valid; ++j) {
+    float* yc = y + static_cast<std::size_t>(oc + j) * plane + pos;
+    for (int p = 0; p < P; ++p) yc[p] = lanes[p][j];
   }
 }
 
-/// Outputs o..o+7 of dense_avx2; with kMasked only the lanes set in
-/// `mask` are loaded (the rest read as zero) and stored.
-template <bool kMasked>
-void dense_block(const float* wt, const float* bias, const float* x, float* y,
-                 int in_f, int out_f, int o, __m256i mask) {
-  const auto load = [&](const float* p) {
-    return kMasked ? _mm256_maskload_ps(p, mask) : _mm256_loadu_ps(p);
-  };
-  __m256 acc = load(bias + o);
-  for (int i = 0; i < in_f; ++i) {
-    const __m256 xv = _mm256_broadcast_ss(x + i);
-    const __m256 wv = load(wt + static_cast<std::size_t>(i) * out_f + o);
-    acc = _mm256_add_ps(acc, _mm256_mul_ps(wv, xv));
+/// Every output position of channel blocks oc..oc+8*B-1: 4-position
+/// tiles, then the leftover positions one at a time.
+template <int B, bool kMaskLast>
+void conv_blocks(const float* wt, const float* bias, const float* x, float* y,
+                 const ConvShape& s, int oc, __m256i tail) {
+  const int plane = s.out_h * s.out_w;
+  int pos = 0;
+  for (; pos + 4 <= plane; pos += 4)
+    conv_tile<4, B, kMaskLast>(wt, bias, x, y, s, pos, oc, tail);
+  for (; pos < plane; ++pos)
+    conv_tile<1, B, kMaskLast>(wt, bias, x, y, s, pos, oc, tail);
+}
+
+void conv2d_avx2(const float* /*w*/, const float* wt, const float* bias,
+                 const float* x, float* y, const ConvShape& s) {
+  // Lane j of a block handles output channel oc+j through the
+  // transposed weights wt[ic][kh][kw][oc] (contiguous across output
+  // channels for a fixed tap): no gathers regardless of stride, and
+  // full lanes even on tiny late-stage feature maps. Channels go in
+  // pairs of blocks; a lone last block runs with B = 1.
+  const __m256i tail = lane_mask(s.out_c % 8 == 0 ? 8 : s.out_c % 8);
+  for (int oc = 0; oc < s.out_c; oc += 16) {
+    const int left = s.out_c - oc;
+    if (left >= 16)
+      conv_blocks<2, false>(wt, bias, x, y, s, oc, tail);
+    else if (left > 8)
+      conv_blocks<2, true>(wt, bias, x, y, s, oc, tail);
+    else if (left == 8)
+      conv_blocks<1, false>(wt, bias, x, y, s, oc, tail);
+    else
+      conv_blocks<1, true>(wt, bias, x, y, s, oc, tail);
   }
-  if (kMasked)
-    _mm256_maskstore_ps(y + o, mask, acc);
-  else
-    _mm256_storeu_ps(y + o, acc);
+}
+
+/// Outputs o..o+8*B-1 of dense_avx2 in one pass over in_f: each x
+/// broadcast feeds all B blocks. With kMaskLast the last block covers
+/// the out_f % 8 tail (masked loads and store).
+template <int B, bool kMaskLast>
+void dense_tile(const float* wt, const float* bias, const float* x, float* y,
+                int in_f, int out_f, int o, __m256i tail) {
+  const auto load = [&](const float* p, int b) {
+    return kMaskLast && b == B - 1 ? _mm256_maskload_ps(p, tail)
+                                   : _mm256_loadu_ps(p);
+  };
+  __m256 acc[B];
+  for (int b = 0; b < B; ++b) acc[b] = load(bias + o + 8 * b, b);
+  const float* wp = wt + o;
+  for (int i = 0; i < in_f; ++i, wp += out_f) {
+    const __m256 xv = _mm256_broadcast_ss(x + i);
+    for (int b = 0; b < B; ++b)
+      acc[b] = _mm256_add_ps(acc[b], _mm256_mul_ps(load(wp + 8 * b, b), xv));
+  }
+  for (int b = 0; b < B; ++b) {
+    if (kMaskLast && b == B - 1)
+      _mm256_maskstore_ps(y + o + 8 * b, tail, acc[b]);
+    else
+      _mm256_storeu_ps(y + o + 8 * b, acc[b]);
+  }
 }
 
 void dense_avx2(const float* /*w*/, const float* wt, const float* bias,
                 const float* x, float* y, int in_f, int out_f) {
   // Lane j handles output o+j through the transposed weights
-  // wt[i][o] (contiguous across outputs for a fixed input). The last
-  // out_f % 8 outputs run as one masked vector, so narrow layers (the
-  // Grid World MLP's 4 Q-values) are vectorized too.
+  // wt[i][o] (contiguous across outputs for a fixed input): 32-output
+  // tiles, then single blocks, then the last out_f % 8 outputs as one
+  // masked block, so narrow layers (the Grid World MLP's 4 Q-values)
+  // are vectorized too.
   int o = 0;
+  for (; o + 32 <= out_f; o += 32)
+    dense_tile<4, false>(wt, bias, x, y, in_f, out_f, o, __m256i{});
   for (; o + 8 <= out_f; o += 8)
-    dense_block<false>(wt, bias, x, y, in_f, out_f, o, __m256i{});
-  if (o < out_f) {
-    const __m256i mask =
-        _mm256_cmpgt_epi32(_mm256_set1_epi32(out_f - o),
-                           _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-    dense_block<true>(wt, bias, x, y, in_f, out_f, o, mask);
-  }
+    dense_tile<1, false>(wt, bias, x, y, in_f, out_f, o, __m256i{});
+  if (o < out_f)
+    dense_tile<1, true>(wt, bias, x, y, in_f, out_f, o,
+                        lane_mask(out_f - o));
 }
 
 void relu_avx2(float* x, std::size_t n) {

@@ -1,7 +1,9 @@
 #include "nn/layers.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
@@ -124,18 +126,25 @@ Shape ReLU::output_shape(const Shape& in) const {
 
 Tensor ReLU::forward(const Tensor& input) {
   cached_input_ = input;
-  Tensor out(input.shape());
-  for (std::size_t i = 0; i < input.size(); ++i)
-    out[i] = input[i] > 0.0f ? input[i] : 0.0f;
+  Tensor out = input;
+  kernels::active().relu(out.data(), out.size());
   return out;
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
   if (cached_input_.empty())
     throw std::logic_error("ReLU::backward before forward");
+  // A branchless select: g's bits masked by the compare, so the result
+  // is g where the input was positive and +0 elsewhere. Never g * mask,
+  // which turns a negative g into -0 and an infinite one into NaN.
   Tensor grad_input(cached_input_.shape());
-  for (std::size_t i = 0; i < grad_output.size(); ++i)
-    grad_input[i] = cached_input_[i] > 0.0f ? grad_output[i] : 0.0f;
+  const float* in = cached_input_.data();
+  const float* g = grad_output.data();
+  float* out = grad_input.data();
+  for (std::size_t i = 0; i < grad_output.size(); ++i) {
+    const std::uint32_t keep = -static_cast<std::uint32_t>(in[i] > 0.0f);
+    out[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(g[i]) & keep);
+  }
   return grad_input;
 }
 

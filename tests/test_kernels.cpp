@@ -6,7 +6,9 @@
 // encode/decode) including the saturation edges; backward inputs are
 // training-like floats with exact +0/-0 gradients. The geometry sweeps
 // deliberately cross both the 4-lane (NEON) and 8-lane (AVX2)
-// boundaries to exercise remainder handling.
+// boundaries to exercise remainder handling, and the edges of AVX2's
+// register tiles (4 output positions x 2 channel blocks for conv, 32
+// outputs for dense) and its masked channel tails.
 // Each SIMD backend runs the same matrix through its own fixture and
 // GTEST_SKIPs on hosts that cannot execute it.
 
@@ -76,13 +78,33 @@ void run_conv_shape_matrix(const KernelOps& simd) {
       {2, 3, 3, 1, 4, 8},    // one AVX2 vector; two NEON vectors
       {3, 2, 3, 1, 5, 9},    // full vector(s) + 1 remainder column
       {2, 2, 5, 1, 2, 17},   // several vectors + 1 remainder
-      {1, 2, 3, 2, 3, 7},    // strided gather + remainder
-      {2, 2, 3, 2, 4, 9},    // strided gather + remainder
-      {3, 4, 5, 2, 3, 16},   // strided; NEON channel path, AVX2 columns
-      {2, 8, 3, 1, 2, 2},    // tiny feature map: one AVX2 channel vector
-      {3, 12, 3, 2, 3, 3},   // strided channel path + 4-channel remainder
-      {2, 19, 5, 1, 4, 5},   // channel vectors + odd channel remainder
+      {1, 2, 3, 2, 3, 7},    // strided + remainder
+      {2, 2, 3, 2, 4, 9},    // strided + remainder
+      {3, 4, 5, 2, 3, 16},   // strided; NEON channel path
+      {2, 8, 3, 1, 2, 2},    // tiny feature map: one 8-channel block
+      {3, 12, 3, 2, 3, 3},   // strided 8+4 channels, plane 9 = 2 tiles + 1
+      {2, 19, 5, 1, 4, 5},   // 16 + masked 3 channels
       {1, 16, 1, 1, 6, 6},   // 1x1 kernel, pure channel vectorization
+      // Planes that are not a multiple of the 4-position tile.
+      {3, 16, 3, 1, 3, 3},   // 2 tiles (crossing rows) + 1 position
+      {2, 16, 3, 2, 1, 3},   // no full tile: 3 single positions
+      {4, 8, 3, 1, 2, 1},    // column map, 2 single positions
+      // Block pairs plus a lone 8-channel block.
+      {3, 24, 3, 1, 3, 5},   // 16 + 8
+      {5, 40, 3, 2, 2, 3},   // 16 + 16 + 8
+      // Masked channel tails at planes >= 4.
+      {2, 3, 3, 1, 2, 3},    // one masked block of 3
+      {2, 9, 3, 1, 2, 3},    // 8 + masked 1
+      {3, 12, 3, 1, 4, 4},   // 8 + masked 4
+      {2, 19, 3, 2, 3, 5},   // 16 + masked 3
+      // The fast C3F2 conv layers (see make_c3f2).
+      {3, 16, 5, 2, 18, 18},
+      {16, 32, 3, 2, 4, 4},
+      {32, 32, 3, 1, 2, 2},
+      // The paper C3F2 conv layers.
+      {3, 96, 7, 4, 25, 25},
+      {96, 64, 5, 1, 8, 8},
+      {64, 64, 3, 1, 6, 6},
   };
   for (const auto& g : shapes) {
     ConvShape s;
@@ -111,19 +133,28 @@ void run_conv_shape_matrix(const KernelOps& simd) {
       for (int t = 0; t < taps; ++t)
         wt[static_cast<std::size_t>(t) * g.out_c + oc] =
             w[static_cast<std::size_t>(oc) * taps + t];
-    std::vector<float> y_scalar(yn, -1.0f), y_simd(yn, -2.0f);
+    // y_simd carries 8 guard elements past the output: masked channel
+    // tails must not store past out_c.
+    std::vector<float> y_scalar(yn, -1.0f), y_simd(yn + 8, -2.0f);
     kernels::scalar_ops().conv2d(w.data(), nullptr, b.data(), x.data(),
                                  y_scalar.data(), s);
     simd.conv2d(w.data(), simd.conv_wants_transposed ? wt.data() : nullptr,
                 b.data(), x.data(), y_simd.data(), s);
+    SCOPED_TRACE("in_c=" + std::to_string(g.in_c) + " out_c=" +
+                 std::to_string(g.out_c) + " out=" + std::to_string(g.out_h) +
+                 "x" + std::to_string(g.out_w));
+    for (std::size_t i = yn; i < y_simd.size(); ++i)
+      ASSERT_EQ(y_simd[i], -2.0f) << "guard element " << i - yn;
+    y_simd.resize(yn);
     expect_bit_identical(y_scalar, y_simd, "conv2d");
   }
 }
 
 void run_dense_width_matrix(const KernelOps& simd) {
   const QFormat fmt(3, 4);  // coarse grid: saturating sums
-  for (const int in_f : {1, 5, 48}) {
-    for (const int out_f : {1, 3, 4, 7, 8, 9, 16, 25}) {
+  for (const int in_f : {1, 5, 48, 128, 2304}) {
+    for (const int out_f : {1, 3, 4, 7, 8, 9, 16, 25, 31, 32, 33, 40, 64, 128,
+                            1024}) {
       const std::size_t wn = static_cast<std::size_t>(out_f) * in_f;
       const auto w = quantized_randoms(fmt, wn, 400 + wn);
       const auto b = quantized_randoms(fmt, out_f, 500 + wn);
@@ -134,12 +165,17 @@ void run_dense_width_matrix(const KernelOps& simd) {
         for (int i = 0; i < in_f; ++i)
           wt[static_cast<std::size_t>(i) * out_f + o] =
               w[static_cast<std::size_t>(o) * in_f + i];
-      std::vector<float> y_scalar(out_f, -1.0f), y_simd(out_f, -2.0f);
+      std::vector<float> y_scalar(out_f, -1.0f), y_simd(out_f + 8, -2.0f);
       kernels::scalar_ops().dense(w.data(), nullptr, b.data(), x.data(),
                                   y_scalar.data(), in_f, out_f);
       simd.dense(w.data(),
                  simd.dense_wants_transposed ? wt.data() : nullptr, b.data(),
                  x.data(), y_simd.data(), in_f, out_f);
+      SCOPED_TRACE("in_f=" + std::to_string(in_f) +
+                   " out_f=" + std::to_string(out_f));
+      for (std::size_t i = out_f; i < y_simd.size(); ++i)
+        ASSERT_EQ(y_simd[i], -2.0f) << "guard element " << i - out_f;
+      y_simd.resize(out_f);
       expect_bit_identical(y_scalar, y_simd, "dense");
     }
   }

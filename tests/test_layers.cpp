@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <utility>
@@ -190,6 +192,26 @@ TEST(ReLU, GradientMasksNegativeInputs) {
   EXPECT_FLOAT_EQ(gin[0], 0.0f);
   EXPECT_FLOAT_EQ(gin[1], 5.0f);
   EXPECT_FLOAT_EQ(gin[2], 5.0f);
+}
+
+TEST(ReLU, GradientSelectsExactBits) {
+  // Masked lanes are +0 whatever g is (a multiply by a 0/1 mask would
+  // give -0 for a negative g and NaN for an infinite one); kept lanes
+  // carry g's exact bits, -0 and inf included.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  ReLU relu;
+  (void)relu.forward(Tensor(Shape{1, 1, 7},
+                            {-1.0f, 0.0f, -0.0f, nan, 1.0f, 2.0f, 3.0f}));
+  const Tensor gin = relu.backward(
+      Tensor(Shape{1, 1, 7}, {-5.0f, inf, -inf, -2.0f, -0.0f, inf, -2.0f}));
+  const float expected[] = {0.0f, 0.0f, 0.0f, 0.0f, -0.0f, inf, -2.0f};
+  for (std::size_t i = 0; i < 7; ++i) {
+    std::uint32_t got = 0, want = 0;
+    std::memcpy(&got, gin.data() + i, sizeof(got));
+    std::memcpy(&want, &expected[i], sizeof(want));
+    EXPECT_EQ(got, want) << "element " << i;
+  }
 }
 
 // -------------------------------------------------------------- MaxPool
