@@ -256,6 +256,13 @@ class JsonArtifact {
 /// Nothing is printed to stdout (the backend name must not leak into
 /// output that equivalence legs diff); distributed workers never
 /// write (the coordinator's end-to-end timing is the record).
+///
+/// A record that was asked for and not written would let a perf gate
+/// compare against nothing, so a FTNAV_PERF_DIR that is not a directory
+/// ends the bench (exit 2) at construction, before any work runs, and
+/// a record file that cannot be written ends it (exit 1) at
+/// destruction. Construct the recorder before the bench's first
+/// campaign.
 class PerfRecorder {
  public:
   /// `refresh_command` is the exact baseline-refresh one-liner for this
@@ -268,7 +275,16 @@ class PerfRecorder {
         refresh_command_(std::move(refresh_command)),
         dir_(env_string("FTNAV_PERF_DIR", "")),
         threads_(config.threads),
-        enabled_(!dir_.empty() && !config.is_dist_worker()) {}
+        enabled_(!dir_.empty() && !config.is_dist_worker()) {
+    std::error_code error;
+    if (!dir_.empty() && !std::filesystem::is_directory(dir_, error)) {
+      std::fprintf(stderr,
+                   "perf: FTNAV_PERF_DIR=%s is not a directory; create it "
+                   "or unset the variable\n",
+                   dir_.c_str());
+      std::exit(2);
+    }
+  }
 
   PerfRecorder(const PerfRecorder&) = delete;
   PerfRecorder& operator=(const PerfRecorder&) = delete;
@@ -290,8 +306,8 @@ class PerfRecorder {
     for (const perf::Section& s : perf::drain_sections())
       sections_.push_back({s.name, s.ops, s.seconds});
     if (!enabled_ || sections_.empty()) return;
-    std::ofstream out(dir_ + "/BENCH_" + artifact_ + ".json");
-    if (!out) return;  // benches never fail on artifact export
+    const std::string path = dir_ + "/BENCH_" + artifact_ + ".json";
+    std::ofstream out(path);
     const std::string sha =
         env_string("GITHUB_SHA", env_string("FTNAV_GIT_SHA", "unknown"));
     const char* backend = "unknown";
@@ -319,8 +335,13 @@ class PerfRecorder {
           << format_double(tps, 3) << "}";
     }
     out << "\n ]\n}\n";
-    std::fprintf(stderr, "perf: wrote %s/BENCH_%s.json\n", dir_.c_str(),
-                 artifact_.c_str());
+    out.close();
+    if (!out) {
+      std::fflush(stdout);
+      std::fprintf(stderr, "perf: cannot write %s\n", path.c_str());
+      std::exit(1);
+    }
+    std::fprintf(stderr, "perf: wrote %s\n", path.c_str());
   }
 
  private:

@@ -18,12 +18,19 @@ int main() {
                config);
 
   const bool full = config.full_scale;
-  const std::string bers = param_join(grid_training_bers(full));
+  const std::vector<double> ber_axis = grid_training_bers(full);
+  const std::string bers = param_join(ber_axis);
 
+  // Times the NN sweeps (the MLP's quantization-aware TD training
+  // dominates them); a trial is one training run.
+  PerfRecorder perf(config, "fig4",
+                    "FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 "
+                    "./build/bench/bench_fig4_convergence");
   JsonArtifact artifact(config, "fig4");
   for (const bool tabular : {true, false}) {
     const char* policy = tabular ? "tabular" : "nn";
     const int repeats = config.resolve_repeats(tabular ? 10 : 2, 50);
+    const auto runs = static_cast<std::size_t>(repeats) * ber_axis.size();
     // The paper injects at episode 900 of a ~1000-episode learning
     // phase; we inject at ~90% of each policy's nominal convergence
     // time and report the paper's metric: TOTAL episodes until the
@@ -33,6 +40,7 @@ int main() {
     std::printf("--- Fig. 4%c (%s): total episodes to converge with a "
                 "transient fault at episode %d (%d repeats) ---\n",
                 tabular ? 'a' : 'c', policy, fault_episode, repeats);
+    double start = PerfRecorder::now();
     artifact.add(
         tabular ? "fig4a" : "fig4c",
         run_scenario("grid-convergence-transient",
@@ -44,6 +52,8 @@ int main() {
                        std::to_string(full ? 2000 : 1000)},
                       {"repeats", std::to_string(repeats)},
                       {"seed", std::to_string(config.seed)}}));
+    if (!tabular)
+      perf.record("fig4c_nn_transient", runs, PerfRecorder::now() - start);
 
     const int early = full ? 1000 : 400;
     const int late = full ? 2000 : 800;
@@ -51,6 +61,7 @@ int main() {
     std::printf("--- Fig. 4%c (%s): success%% after +%d episodes under "
                 "permanent faults injected at EI=%d / EI=%d ---\n",
                 tabular ? 'b' : 'd', policy, extra, early, late);
+    start = PerfRecorder::now();
     artifact.add(
         tabular ? "fig4b" : "fig4d",
         run_scenario("grid-convergence-permanent",
@@ -62,6 +73,10 @@ int main() {
                       {"extra-episodes", std::to_string(extra)},
                       {"repeats", std::to_string(repeats)},
                       {"seed", std::to_string(config.seed)}}));
+    // (stuck-at-0, stuck-at-1) x (early, late) per BER.
+    if (!tabular)
+      perf.record("fig4d_nn_permanent", 4 * runs,
+                  PerfRecorder::now() - start);
   }
 
   print_shape_note(

@@ -14,6 +14,7 @@ int main(int, char** argv) {
   using namespace ftnav;
   using namespace ftnav::benchharness;
   BenchConfig config = bench_config_from_env();
+  PerfRecorder perf(config, "fig5_inference");
   // Coordinator: spawn FTNAV_WORKERS workers and drain the queue;
   // workers: run leased shards silently and exit.
   const DistConfig dist = bench_dist(argv[0], config);
@@ -28,7 +29,6 @@ int main(int, char** argv) {
                                     0.006, 0.008, 0.010};
 
   JsonArtifact artifact(config, "fig5");
-  PerfRecorder perf(config, "fig5_inference");
   for (const bool tabular : {true, false}) {
     const int repeats = config.resolve_repeats(tabular ? 200 : 60, 1000);
     if (!worker)

@@ -19,6 +19,11 @@ int main() {
 
   const int episodes = 1000;  // paper scale; NN needs the full budget
 
+  // Times the NN sweeps (the MLP's quantization-aware TD training
+  // dominates them); a trial is one training run.
+  PerfRecorder perf(config, "fig8",
+                    "FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 "
+                    "./build/bench/bench_fig8_mitigated_training");
   JsonArtifact artifact(config, "fig8");
   for (const bool tabular : {true, false}) {
     const char* policy = tabular ? "tabular" : "nn";
@@ -33,6 +38,7 @@ int main() {
     }
     const int repeats =
         config.resolve_repeats(tabular ? 10 : 2, tabular ? 100 : 20);
+    const auto runs = static_cast<std::size_t>(repeats) * bers.size();
     const auto overrides =
         [&](bool mitigated) -> std::vector<std::pair<std::string,
                                                      std::string>> {
@@ -51,20 +57,29 @@ int main() {
                   "(%%) ---\n",
                   tabular ? 'a' : 'b', policy,
                   mitigated ? "WITH mitigation" : "baseline");
+      double start = PerfRecorder::now();
       artifact.add(
           std::string(tabular ? "fig8a" : "fig8b") + "_" + arm,
           run_scenario("grid-training-transient",
                        std::string(tabular ? "fig8a" : "fig8b") + "-" + arm,
                        config, DistConfig{}, overrides(mitigated)));
+      if (!tabular)
+        perf.record("fig8b_nn_transient_" + arm, runs * injections.size(),
+                    PerfRecorder::now() - start);
 
       std::printf("--- permanent faults, %s (%s) ---\n",
                   mitigated ? "WITH mitigation" : "baseline", policy);
+      start = PerfRecorder::now();
       artifact.add(
           std::string(tabular ? "fig8a" : "fig8b") + "_perm_" + arm,
           run_scenario(
               "grid-training-permanent",
               std::string(tabular ? "fig8a" : "fig8b") + "-perm-" + arm,
               config, DistConfig{}, overrides(mitigated)));
+      // Stuck-at-0 and stuck-at-1 per BER.
+      if (!tabular)
+        perf.record("fig8b_nn_permanent_" + arm, 2 * runs,
+                    PerfRecorder::now() - start);
     }
   }
 

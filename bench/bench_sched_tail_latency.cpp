@@ -157,6 +157,7 @@ int main() {
                "worker finish-time spread under uniform vs cost vs "
                "feedback lease sizing on a skewed shard mix",
                config);
+  PerfRecorder perf(config, "sched_tail_latency");
 
   const std::size_t scale = config.full_scale ? 4 : 1;
   g_heavy_draws = 1'500'000 * scale;
@@ -188,7 +189,6 @@ int main() {
 
   Table table({"policy", "wall_s", "mean_busy_s", "straggler_busy_s",
                "tail_s", "tail_pct_of_mean"});
-  PerfRecorder perf(config, "sched_tail_latency");
   bool bytes_identical = true;
   for (const auto policy :
        {DistConfig::SchedPolicy::kUniform, DistConfig::SchedPolicy::kCost,

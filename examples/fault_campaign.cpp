@@ -4,7 +4,8 @@
 // built on top of it.
 //
 //   fault_campaign list [--names]
-//   fault_campaign describe <name> | --all [--markdown | --json] [--cost]
+//   fault_campaign describe <name> | --all [--markdown | --json]
+//       [--cost [--param k=v ...]]
 //   fault_campaign run <name> [options]
 //   fault_campaign serve --bind <host:port> [--journal f]
 //       [--auth-token t] [--addr-file f]
@@ -140,11 +141,12 @@ constexpr FlagInfo kFlags[] = {
     {"--json", nullptr, "machine-readable ParamSpec schema dump",
      kCmdDescribe, false},
     {"--cost", nullptr,
-     "analytic cost estimate at default parameters (with --json: a "
-     "ftnav-cost-report-v1 document)",
+     "analytic cost estimate at default parameters, or at --param "
+     "overrides for one scenario (with --json: a ftnav-cost-report-v1 "
+     "document)",
      kCmdDescribe, false},
     {"--param", "k=v", "scenario parameter (repeatable; see describe)",
-     kCmdRun | kCmdSubmit, false},
+     kCmdDescribe | kCmdRun | kCmdSubmit, false},
     {"--config", "file", "JSON parameter file {\"k\": value, ...}",
      kCmdRun | kCmdSubmit, false},
     {"--threads", "n", "campaign worker threads (0 = all cores)",
@@ -454,11 +456,17 @@ int cmd_describe(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
+  if (!flags.cli_params.empty() && (!flags.cost || flags.all)) {
+    std::fprintf(stderr, "%s: --param needs --cost and one scenario\n",
+                 argv[0]);
+    return 2;
+  }
   const ScenarioRegistry& registry = ScenarioRegistry::instance();
   if (flags.cost) {
-    // Estimates bind the *declared default* parameters, so the report
-    // is a stable artifact of the binary (CI snapshots it as
-    // cost_report.json; see ci/validate_cost.py).
+    // Estimates bind the *declared default* parameters (no FTNAV_<PARAM>
+    // values), so the report is a stable artifact of the binary (CI
+    // snapshots it as cost_report.json; see ci/validate_cost.py).
+    // Explicit --param overrides price one scenario at other values.
     cost::MachineProfile profile;
     try {
       profile = cost::MachineProfile::from_env();
@@ -485,7 +493,14 @@ int cmd_describe(int argc, char** argv) {
                      argv[0], spec->name.c_str());
         return 1;
       }
-      const ParamSet params = spec->make_params();
+      ParamSet params = spec->make_params();
+      try {
+        for (const auto& [key, value] : flags.cli_params)
+          params.set(key, value, ParamSource::kCli);
+      } catch (const ParamError& error) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
+        return 2;
+      }
       entries.push_back({spec->name, params.canonical(),
                          spec->cost(params)});
     }

@@ -95,6 +95,12 @@ class TransposedWeights {
   void invalidate() noexcept { valid_ = false; }
   /// `weights` holds `out` rows of `fan_in` values.
   const float* get(std::span<const float> weights, int out, int fan_in);
+  /// Keeps a built copy in step with one weight write, w[row][col] =
+  /// `value` in a layer of `out` rows; an unbuilt copy is left for
+  /// get() to rebuild.
+  void set(std::size_t row, std::size_t col, int out, float value) noexcept {
+    if (valid_) wt_[col * static_cast<std::size_t>(out) + row] = value;
+  }
 
  private:
   std::vector<float> wt_;
@@ -214,6 +220,18 @@ class Dense final : public Layer {
     return params_;
   }
   std::span<const float> parameters() const override { return params_; }
+  /// Writes parameter `index` (weights then biases, as parameters()
+  /// orders them) and the matching element of a built transposed copy,
+  /// so a trainer that rewrites a few words per step does not make the
+  /// next forward() re-transpose the whole layer. `index` must be below
+  /// parameters().size().
+  void set_parameter(std::size_t index, float value) noexcept {
+    params_[index] = value;
+    if (index < weight_count()) {
+      const auto in = static_cast<std::size_t>(in_features_);
+      transposed_.set(index / in, index % in, out_features_, value);
+    }
+  }
   std::span<float> gradients() override { return grads_; }
   void apply_gradients(float lr) override;
   void zero_gradients() override;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 namespace ftnav {
 
@@ -47,32 +48,44 @@ void MlpQAgent::mark_all_dirty() {
     dirty_[i] = static_cast<std::uint32_t>(i);
 }
 
-float& MlpQAgent::parameter(std::size_t index) {
-  const std::span<float> fc1 = net_.layer(kFc1).parameters();
-  return index < fc1.size() ? fc1[index]
-                            : net_.layer(kFc2).parameters()[index - fc1.size()];
+void MlpQAgent::set_parameter(std::size_t index, float value) {
+  Dense& fc1 = dense(kFc1);
+  const std::size_t fc1_size = std::as_const(fc1).parameters().size();
+  if (index < fc1_size)
+    fc1.set_parameter(index, value);
+  else
+    dense(kFc2).set_parameter(index - fc1_size, value);
 }
 
-void MlpQAgent::update_master() {
+void MlpQAgent::update_master(std::size_t state, std::size_t action) {
   const auto lr = static_cast<float>(config_.learning_rate);
-  std::size_t offset = 0;
-  for (const std::size_t layer : {kFc1, kFc2}) {
-    const std::span<float> grads = net_.layer(layer).gradients();
-    for (std::size_t i = 0; i < grads.size(); ++i) {
-      if (grads[i] == 0.0f) continue;
-      master_[offset + i] -= lr * grads[i];
-      grads[i] = 0.0f;
-      dirty_.push_back(static_cast<std::uint32_t>(offset + i));
-    }
-    offset += grads.size();
-  }
+  const auto visit = [&](std::span<float> grads, std::size_t offset,
+                         std::size_t i) {
+    if (grads[i] == 0.0f) return;
+    master_[offset + i] -= lr * grads[i];
+    grads[i] = 0.0f;
+    dirty_.push_back(static_cast<std::uint32_t>(offset + i));
+  };
+  const auto inputs = static_cast<std::size_t>(env_->state_count());
+  const auto hidden = static_cast<std::size_t>(config_.hidden_units);
+  const auto actions = static_cast<std::size_t>(GridWorld::action_count());
+  // FC1: the hot column, then the biases (ascending word order).
+  const std::span<float> fc1 = dense(kFc1).gradients();
+  for (std::size_t o = 0; o < hidden; ++o) visit(fc1, 0, o * inputs + state);
+  for (std::size_t o = 0; o < hidden; ++o) visit(fc1, 0, hidden * inputs + o);
+  // FC2: dense_weight_grad skips zero output gradients, so only the
+  // acted-on row and its bias can be nonzero.
+  const std::span<float> fc2 = dense(kFc2).gradients();
+  for (std::size_t h = 0; h < hidden; ++h)
+    visit(fc2, fc1.size(), action * hidden + h);
+  visit(fc2, fc1.size(), hidden * actions + action);
 }
 
 void MlpQAgent::commit() {
   for (const std::uint32_t i : dirty_) weights_.set_fast(i, master_[i]);
   stuck_.apply(weights_);
   for (const std::uint32_t i : dirty_)
-    parameter(i) = static_cast<float>(weights_.get_fast(i));
+    set_parameter(i, static_cast<float>(weights_.get_fast(i)));
   dirty_.clear();
 }
 
@@ -101,7 +114,8 @@ int MlpQAgent::td_step(int state, double epsilon, Rng& rng,
   net_.backward(grad);
   // Straight-through update: gradients w.r.t. quantized weights are
   // applied to the float master, then re-quantized into the buffer.
-  update_master();
+  update_master(static_cast<std::size_t>(state),
+                static_cast<std::size_t>(action));
   commit();
   return action;
 }
@@ -185,7 +199,7 @@ void MlpQAgent::inject_transient(const FaultMap& map) {
     if (site.word_index >= weights_.size()) continue;
     const auto value = static_cast<float>(weights_.get(site.word_index));
     master_[site.word_index] = value;
-    parameter(site.word_index) = value;
+    set_parameter(site.word_index, value);
     dirty_.push_back(site.word_index);
   }
 }

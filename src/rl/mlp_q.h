@@ -22,14 +22,18 @@
 // 0x00.
 //
 // A TD step costs only what it touches. The one-hot input makes FC1 a
-// column gather (Network::forward_one_hot), and backward then grades
-// that column, the FC1 biases and FC2, fewer than 150 of the 5,044
-// words. The update reads each layer's gradients once, applies
-// master -= lr * g to the nonzero ones only, and records them in a
-// dirty set. commit() re-derives only the dirty words. This is exact:
-// a word whose gradient is zero keeps its master (x - lr * 0 == x, up
-// to the sign of a zero, which encode erases), and the stuck mask is
-// idempotent on words that already satisfy it.
+// column gather (Network::forward_one_hot), and the TD error is nonzero
+// for the taken action only, so backward grades FC1's hot column and
+// biases and FC2's acted-on row and bias: 3 * hidden + 1 of the 5,044
+// words. update_master() visits exactly those gradient entries, applies
+// master -= lr * g to the nonzero ones, zeroes them and records them in
+// a dirty set, so every gradient is zero again between steps. commit()
+// re-derives only the dirty words and writes them through
+// Dense::set_parameter, which keeps FC2's transposed weight copy in
+// step instead of discarding it. This is exact: a word whose gradient
+// is zero keeps its master (x - lr * 0 == x, up to the sign of a zero,
+// which encode erases), and the stuck mask is idempotent on words that
+// already satisfy it.
 
 #include "core/fault_model.h"
 #include "core/injector.h"
@@ -105,13 +109,11 @@ class MlpQAgent {
   /// Marks every word dirty, so the next commit() re-derives them all.
   void mark_all_dirty();
 
-  /// Applies master -= lr * g for every nonzero gradient g, zeroes
-  /// those gradients, and marks their words dirty. Its scan over all
-  /// 5,044 gradients is the training hot loop, and that loop's speed
-  /// depends on where it falls relative to 64-byte fetch blocks
-  /// (unrelated code changes moved it and cost ~25% of a training run
-  /// on an x86 host), so the function is pinned to a 64-byte boundary.
-  [[gnu::aligned(64)]] void update_master();
+  /// Applies master -= lr * g for every nonzero gradient g the last
+  /// backward could have written after a forward of `state` with the TD
+  /// error on `action` alone (see the header comment), zeroes those
+  /// gradients, and marks their words dirty.
+  void update_master(std::size_t state, std::size_t action);
 
   /// For each dirty word: encodes master -> buffer, enforces stuck bits
   /// (over the whole buffer, a no-op on clean words), and decodes the
@@ -119,8 +121,12 @@ class MlpQAgent {
   /// truth). Clears the dirty set.
   void commit();
 
-  /// The network parameter that holds word `index` of the buffer.
-  float& parameter(std::size_t index);
+  /// The Dense layer at stack position `layer` (FC1 or FC2).
+  Dense& dense(std::size_t layer) {
+    return static_cast<Dense&>(net_.layer(layer));
+  }
+  /// Writes the network parameter that holds word `index` of the buffer.
+  void set_parameter(std::size_t index, float value);
 
   /// One TD(0) step from `state`: act, learn, commit. Returns the
   /// action; fills the env result and reward.

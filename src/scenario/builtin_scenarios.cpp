@@ -839,13 +839,13 @@ Work grid_rollout_trial(GridPolicyKind kind, ObstacleDensity density) {
 
 /// One TD step of the NN policy as MlpQAgent runs it: three one-hot
 /// forwards, where FC1 gathers one weight column (hidden adds) and FC2
-/// runs dense; a backward priced as one more forward; one read of every
-/// float gradient; and a requantize of the words the step touches
-/// (FC1's hot column and biases, the acted-on FC2 row and its bias),
-/// each a master read, a word write and a parameter write.
-Work mlp_td_step(ObstacleDensity density) {
+/// runs dense; a backward priced as one more forward; and an update of
+/// the entries the step grades (FC1's hot column and biases, the
+/// acted-on FC2 row and its bias), each a gradient read, a master read,
+/// a word write and a parameter write. No other gradient is read, so
+/// the step costs the same on every grid size.
+Work mlp_td_step() {
   const MlpQConfig config;
-  const double states = GridWorld::preset(density).state_count();
   const double hidden = config.hidden_units;
   const double actions = GridWorld::action_count();
   const double fc2_words = hidden * actions + actions;
@@ -855,10 +855,8 @@ Work mlp_td_step(ObstacleDensity density) {
   forward.bytes = (2.0 * hidden + fc2_words + 2.0 * hidden + actions) *
                   kGridWordBytes;
   Work step = forward.scaled(4.0);
-  const double parameters = states * hidden + hidden + fc2_words;
   const double touched = 3.0 * hidden + 1.0;
-  step.bytes += parameters * sizeof(float) +
-                touched * (2.0 * sizeof(float) + sizeof(Word));
+  step.bytes += touched * (3.0 * sizeof(float) + sizeof(Word));
   return step;
 }
 
@@ -872,7 +870,7 @@ Work grid_training_trial(GridPolicyKind kind, ObstacleDensity density,
   const double steps = static_cast<double>(config.max_steps) * episodes;
   Work work = kind == GridPolicyKind::kTabular
                   ? Work{}
-                  : mlp_td_step(density).scaled(steps);
+                  : mlp_td_step().scaled(steps);
   work.grid_steps = steps;
   work.bytes += cost::inject_restore_bytes(
       static_cast<std::size_t>(model.store_words), kGridWordBytes);

@@ -410,6 +410,42 @@ TEST(Layers, ForwardSeesRestoredNetworkParameters) {
   }
 }
 
+TEST(Layers, SetParameterKeepsTheTransposedCopyInStep) {
+  // Probing every input column with a basis vector reads every element
+  // of the copy the backend's forward uses: the patched copy must match
+  // the fresh transpose a never-forwarded layer builds, bit for bit.
+  for (const kernels::KernelOps* ops : host_backends()) {
+    SCOPED_TRACE(ops->name);
+    kernels::ScopedKernelBackend pin(*ops);
+    Rng rng(46), fresh_rng(47);
+    Dense dense(20, 24, rng);
+    const Tensor features = random_tensor(Shape{20, 1, 1}, rng);
+    (void)dense.forward(features);  // builds the copy
+    const Dense fresh_values(20, 24, fresh_rng);
+    const std::span<const float> values = fresh_values.parameters();
+    for (std::size_t i = 0; i < values.size(); i += 3)
+      dense.set_parameter(i, values[i]);
+    // Forwards between the writes keep the copy built, so every later
+    // write lands on a valid copy.
+    (void)dense.forward(features);
+    for (std::size_t i = 1; i < values.size(); i += 3)
+      dense.set_parameter(i, values[i]);
+    (void)dense.forward(features);
+    for (std::size_t i = 2; i < values.size(); i += 3)
+      dense.set_parameter(i, values[i]);
+
+    Rng unused(48);
+    Dense fresh(20, 24, unused);
+    write_parameters(fresh, values);
+    for (int column = 0; column < 20; ++column) {
+      Tensor basis(Shape{20, 1, 1});
+      basis[static_cast<std::size_t>(column)] = 1.0f;
+      expect_same_bits(dense.forward(basis), fresh.forward(basis));
+    }
+    expect_same_bits(dense.forward(features), fresh.forward(features));
+  }
+}
+
 TEST(Layers, KindNamesAndLabels) {
   Rng rng(18);
   Dense dense(1, 1, rng);

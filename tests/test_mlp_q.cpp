@@ -226,11 +226,12 @@ TEST(MlpQ, OneHotForwardMatchesDenseForwardOnTrainedWeights) {
   EXPECT_THROW(agent.q_values(world.state_count()), std::invalid_argument);
 }
 
+enum class Fault { kTransient, kStuck, kStuckThenTransient };
+
 TEST(MlpQ, TrainingUnderFaultsMatchesRecordedDigests) {
   // Recorded from the dense TD step (every word re-encoded, stuck-masked,
   // decoded and restored each step). The sparse step must reproduce the
   // same weight words and network parameters bit for bit.
-  enum class Fault { kTransient, kStuck, kStuckThenTransient };
   struct Case {
     Fault fault;
     AgentDigest expected;
@@ -262,6 +263,41 @@ TEST(MlpQ, TrainingUnderFaultsMatchesRecordedDigests) {
     EXPECT_EQ(got.words, c.expected.words) << static_cast<int>(c.fault);
     EXPECT_EQ(got.parameters, c.expected.parameters)
         << static_cast<int>(c.fault);
+  }
+}
+
+TEST(MlpQ, EveryGradientIsZeroAfterEachTdStep) {
+  // update_master() visits only the entries a one-hot TD step can
+  // grade and zeroes the ones it applies; a graded entry it skipped
+  // would still be nonzero after the step.
+  const GridWorld world = GridWorld::preset(ObstacleDensity::kMiddle);
+  MlpQConfig config;
+  config.max_steps = 1;  // one training episode is one TD step
+  for (const Fault fault : {Fault::kTransient, Fault::kStuck}) {
+    SCOPED_TRACE(fault == Fault::kStuck ? "stuck" : "transient");
+    Rng rng(53);
+    Rng fault_rng(59);
+    MlpQAgent agent(world, config, rng);
+    const std::vector<Word> initial(agent.weights().words().begin(),
+                                    agent.weights().words().end());
+    const std::size_t words = agent.weight_count();
+    const int bits = agent.weights().format().total_bits();
+    if (fault == Fault::kStuck)
+      agent.set_stuck(StuckAtMask::compile(FaultMap::sample(
+          FaultType::kStuckAt1, 0.01, words, bits, fault_rng)));
+    for (int step = 0; step < 2000; ++step) {
+      if (fault == Fault::kTransient && step % 500 == 250)
+        agent.inject_transient(FaultMap::sample(
+            FaultType::kTransientFlip, 0.01, words, bits, fault_rng));
+      agent.run_training_episode(0.3, rng);
+      const std::vector<float> grads = agent.network().snapshot_gradients();
+      ASSERT_TRUE(std::all_of(grads.begin(), grads.end(),
+                              [](float g) { return g == 0.0f; }))
+          << "step " << step;
+    }
+    // The steps did grade and apply gradients.
+    EXPECT_FALSE(std::equal(initial.begin(), initial.end(),
+                            agent.weights().words().begin()));
   }
 }
 
