@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "campaign/campaign_runner.h"
 #include "campaign/streaming.h"
 #include "dist/dist_coordinator.h"
 #include "dist/tcp_transport.h"
@@ -274,7 +275,7 @@ class PerfRecorder {
       : artifact_(std::move(artifact)),
         refresh_command_(std::move(refresh_command)),
         dir_(env_string("FTNAV_PERF_DIR", "")),
-        threads_(config.threads),
+        threads_(resolve_threads(config.threads)),
         enabled_(!dir_.empty() && !config.is_dist_worker()) {
     std::error_code error;
     if (!dir_.empty() && !std::filesystem::is_directory(dir_, error)) {

@@ -13,6 +13,10 @@ Sections whose *baseline* wall clock is below --min-seconds are
 reported but never gate: timing noise on sub-100ms sections would
 otherwise dwarf any real regression.
 
+A candidate record must have run with its baseline's thread count
+(every baseline runs at FTNAV_THREADS=2): throughput at another count
+is not comparable, so a mismatch fails the gate.
+
 Candidate records or sections with no committed baseline are reported
 (with the exact refresh one-liner each record embeds) so new benches
 cannot silently run ungated.
@@ -134,6 +138,13 @@ def main() -> int:
         if cand_record is None:
             failures.append(f"{artifact}: no candidate record "
                             f"(expected {candidate_dir}/BENCH_{artifact}.json)")
+            continue
+        if cand_record.get("threads") != base_record.get("threads"):
+            failures.append(
+                f"{artifact}: candidate ran with threads="
+                f"{cand_record.get('threads')}, baseline with threads="
+                f"{base_record.get('threads')} (rerun with FTNAV_THREADS="
+                f"{base_record.get('threads')})")
             continue
         cand_sections = sections_by_name(cand_record)
         for name, base in sections_by_name(base_record).items():

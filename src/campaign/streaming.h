@@ -105,7 +105,7 @@ class ShardArbiter {
       const std::vector<std::uint8_t>& done_by_self) = 0;
 };
 
-/// Streaming/checkpoint knobs carried by experiment config structs.
+/// Streaming/checkpoint knobs carried by ScenarioContext.
 /// Default-constructed, it reports no progress and checkpoints nothing:
 /// the campaign runs every shard once and returns the merged result.
 struct CampaignStreamConfig {

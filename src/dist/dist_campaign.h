@@ -42,8 +42,8 @@
 
 namespace ftnav {
 
-/// Distribution knob carried by experiment driver configs, mirroring
-/// the `threads` and `stream` knobs. Default-constructed it does
+/// Distribution knob carried by ScenarioContext next to the `threads`
+/// and `stream` knobs. Default-constructed it does
 /// nothing. Front-ends (fault_campaign --workers, FTNAV_WORKERS) fill
 /// it in; drivers pass it to a DistCampaign next to each streamed
 /// campaign call.
@@ -182,8 +182,8 @@ std::string dist_queue_label(const DistConfig& config,
 /// Applies a DistConfig to one campaign, scoped RAII-style around the
 /// CampaignRunner::map / map_reduce call:
 ///
-///   CampaignStreamConfig stream = config.stream;
-///   DistCampaign dist(config.dist, stream_tag, stream);
+///   CampaignStreamConfig stream = context.stream;
+///   DistCampaign dist(context.dist, stream_tag, stream);
 ///   auto result = runner.map_reduce(stream_tag, ..., stream);
 ///
 /// Worker role: redirects the checkpoint to the worker's partial file

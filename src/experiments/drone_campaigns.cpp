@@ -6,6 +6,7 @@
 #include "campaign/campaign_runner.h"
 #include "core/injector.h"
 #include "nn/engine_slot.h"
+#include "scenario/scenario.h"
 #include "util/perf.h"
 #include "util/stats.h"
 
@@ -71,26 +72,24 @@ std::string inference_stream_tag(const std::string& base,
 /// Shared shape of the Fig. 7c-e sweeps: a (row, BER) cell grid where
 /// each cell runs `config.repeats` rollouts on an engine acquired from
 /// the shard's resident cache — `engine_key(row)` names the slot (rows
-/// needing differently-configured engines get distinct keys),
-/// `engine_for(row)` builds it, and the FTNAV_TRIAL_BATCH policy says
-/// when to rebuild (0 = resident, 1 = fresh engine per cell).
-/// reset_faults()'s golden restore keeps both policies bit-identical.
-/// `arm(row, ber, engine, rng)` draws the cell's fault instance per
-/// repeat. Cells at BER <= 0 share one fixed baseline stream so every
-/// row reports identical fault-free rollouts.
+/// needing differently-configured engines get distinct keys) and
+/// `engine_for(row)` builds it on first use. `arm(row, ber, engine,
+/// rng)` draws the cell's fault instance per repeat. Cells at BER <= 0
+/// share one fixed baseline stream so every row reports identical
+/// fault-free rollouts.
 template <typename EngineFor, typename KeyFn, typename ArmFn>
 std::vector<std::vector<double>> sweep_msf_grid(
-    const DroneInferenceCampaignConfig& config, std::uint64_t tag,
-    std::size_t row_count, const DroneWorld& world,
-    const DroneEnvConfig& env_config, EngineFor&& engine_for,
-    KeyFn&& engine_key, ArmFn&& arm, const std::string& perf_section) {
+    const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context, std::uint64_t tag, std::size_t row_count,
+    const DroneWorld& world, const DroneEnvConfig& env_config,
+    EngineFor&& engine_for, KeyFn&& engine_key, ArmFn&& arm,
+    const std::string& perf_section) {
   const std::size_t ber_count = config.bers.size();
-  const CampaignRunner runner(config.threads);
+  const CampaignRunner runner(context.threads);
   const std::string stream_tag = inference_stream_tag(
       "drone-sweep/" + std::to_string(tag), config, &world);
-  CampaignStreamConfig stream = config.stream;
-  DistCampaign dist(config.dist, stream_tag, stream);
-  const int trial_batch = resolve_trial_batch(config.trial_batch);
+  CampaignStreamConfig stream = context.stream;
+  DistCampaign dist(context.dist, stream_tag, stream);
   const double trials_started = perf::now();
   const std::vector<double> cells = runner.map(
       stream_tag, row_count * ber_count, config.seed ^ tag,
@@ -98,8 +97,8 @@ std::vector<std::vector<double>> sweep_msf_grid(
       [&](std::size_t trial, Rng& trial_rng, EngineCache& engines) {
         const std::size_t row = trial / ber_count;
         const double ber = config.bers[trial % ber_count];
-        QuantizedInferenceEngine& engine = engines.acquire(
-            engine_key(row), trial_batch, [&] { return engine_for(row); });
+        QuantizedInferenceEngine& engine =
+            engines.acquire(engine_key(row), [&] { return engine_for(row); });
         Rng rng = ber <= 0.0 ? Rng(config.seed ^ 0xb05e) : trial_rng;
         return msf_with_faults(
             engine, world, env_config, config.repeats, rng,
@@ -133,7 +132,8 @@ void arm_weight_transient(double ber, QuantizedInferenceEngine& engine,
 }  // namespace
 
 DroneTrainingCampaignResult run_drone_training_campaign(
-    const DroneWorld& world, const DroneTrainingCampaignConfig& config) {
+    const DroneWorld& world, const DroneTrainingCampaignConfig& config,
+    const ScenarioContext& context) {
   const DronePolicyBundle bundle = train_drone_policy(world, config.policy);
 
   ConfigDigest digest;
@@ -204,7 +204,7 @@ DroneTrainingCampaignResult run_drone_training_campaign(
     return distances.mean();
   };
 
-  const CampaignRunner runner(config.threads);
+  const CampaignRunner runner(context.threads);
   const std::size_t rows = config.injection_points.size();
   const std::size_t cols = config.bers.size();
   // Fine-tune trial phase (both grids, excluding the policy-training
@@ -217,9 +217,9 @@ DroneTrainingCampaignResult run_drone_training_campaign(
   // streamed completion-order merge reassembles the same grid.
   const std::string transient_tag = "drone-training/transient" + tag_suffix;
   CampaignStreamConfig transient_stream =
-      with_checkpoint_suffix(config.stream, "transient");
+      with_checkpoint_suffix(context.stream, "transient");
   {
-    DistCampaign dist(config.dist, transient_tag, transient_stream);
+    DistCampaign dist(context.dist, transient_tag, transient_stream);
     result.transient = runner.map_reduce(
         transient_tag, rows * cols, config.seed ^ 0x7a,
         [&] { return HeatmapGrid(row_labels, col_labels); },
@@ -241,8 +241,8 @@ DroneTrainingCampaignResult run_drone_training_campaign(
   // per BER.
   const std::string flat_tag = "drone-training/flat" + tag_suffix;
   CampaignStreamConfig flat_stream =
-      with_checkpoint_suffix(config.stream, "flat");
-  DistCampaign flat_dist(config.dist, flat_tag, flat_stream);
+      with_checkpoint_suffix(context.stream, "flat");
+  DistCampaign flat_dist(context.dist, flat_tag, flat_stream);
   const std::vector<double> flat = runner.map(
       flat_tag, 1 + 2 * cols, config.seed ^ 0x7a5a,
       [&](std::size_t trial, Rng& rng) {
@@ -266,7 +266,8 @@ DroneTrainingCampaignResult run_drone_training_campaign(
 }
 
 EnvironmentSweepResult run_environment_sweep(
-    const DroneInferenceCampaignConfig& config) {
+    const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context) {
   EnvironmentSweepResult result;
   result.bers = config.bers;
   const std::vector<DroneWorld> worlds = {DroneWorld::indoor_long(),
@@ -274,8 +275,7 @@ EnvironmentSweepResult run_environment_sweep(
   for (const DroneWorld& world : worlds)
     result.environments.push_back(world.name());
 
-  const CampaignRunner runner(config.threads);
-  const int trial_batch = resolve_trial_batch(config.trial_batch);
+  const CampaignRunner runner(context.threads);
 
   // Phase 1: per-environment policy training in parallel. Training is
   // deterministic in (world, spec), so the trial stream goes unused.
@@ -298,8 +298,8 @@ EnvironmentSweepResult run_environment_sweep(
   const std::size_t ber_count = config.bers.size();
   const std::string stream_tag =
       inference_stream_tag("drone-env-sweep", config, nullptr);
-  CampaignStreamConfig stream = config.stream;
-  DistCampaign dist(config.dist, stream_tag, stream);
+  CampaignStreamConfig stream = context.stream;
+  DistCampaign dist(context.dist, stream_tag, stream);
   const double trials_started = perf::now();
   const std::vector<double> cells = runner.map(
       stream_tag, worlds.size() * ber_count, config.seed ^ 0x7b,
@@ -307,12 +307,11 @@ EnvironmentSweepResult run_environment_sweep(
       [&](std::size_t trial, Rng& trial_rng, EngineCache& engines) {
         const std::size_t env = trial / ber_count;
         const double ber = config.bers[trial % ber_count];
-        QuantizedInferenceEngine& engine =
-            engines.acquire(env, trial_batch, [&] {
-              return std::make_unique<QuantizedInferenceEngine>(
-                  bundles[env].network, QFormat::drone_weights(),
-                  bundles[env].c3f2.input_shape());
-            });
+        QuantizedInferenceEngine& engine = engines.acquire(env, [&] {
+          return std::make_unique<QuantizedInferenceEngine>(
+              bundles[env].network, QFormat::drone_weights(),
+              bundles[env].c3f2.input_shape());
+        });
         Rng rng = ber <= 0.0 ? Rng(config.seed ^ (0xb05e + env + 1))
                              : trial_rng;
         return msf_with_faults(
@@ -345,7 +344,8 @@ std::string to_string(DroneFaultLocation location) {
 }
 
 LocationSweepResult run_location_sweep(
-    const DroneWorld& world, const DroneInferenceCampaignConfig& config) {
+    const DroneWorld& world, const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context) {
   LocationSweepResult result;
   result.bers = config.bers;
   const DronePolicyBundle bundle = train_drone_policy(world, config.policy);
@@ -353,7 +353,7 @@ LocationSweepResult run_location_sweep(
   // Every row drives the same engine configuration, so the whole sweep
   // shares cache slot 0.
   result.msf = sweep_msf_grid(
-      config, 0x7c, 4, world, bundle.env_config,
+      config, context, 0x7c, 4, world, bundle.env_config,
       [&](std::size_t) {
         return std::make_unique<QuantizedInferenceEngine>(
             bundle.network, QFormat::drone_weights(),
@@ -386,7 +386,8 @@ LocationSweepResult run_location_sweep(
 }
 
 LayerSweepResult run_layer_sweep(const DroneWorld& world,
-                                 const DroneInferenceCampaignConfig& config) {
+                                 const DroneInferenceCampaignConfig& config,
+                                 const ScenarioContext& context) {
   LayerSweepResult result;
   result.bers = config.bers;
   const DronePolicyBundle bundle = train_drone_policy(world, config.policy);
@@ -403,8 +404,8 @@ LayerSweepResult run_layer_sweep(const DroneWorld& world,
   // Rows differ only in which layer the arm targets, not in engine
   // configuration: one shared slot.
   result.msf = sweep_msf_grid(
-      config, 0x7d, layer_count, world, bundle.env_config, engine_for,
-      [](std::size_t) { return std::size_t{0}; },
+      config, context, 0x7d, layer_count, world, bundle.env_config,
+      engine_for, [](std::size_t) { return std::size_t{0}; },
       [](std::size_t layer, double ber, QuantizedInferenceEngine& e,
          Rng& r) { e.inject_layer_weight_faults(layer, ber, r); },
       "drone_layer_trials");
@@ -412,7 +413,8 @@ LayerSweepResult run_layer_sweep(const DroneWorld& world,
 }
 
 DataTypeSweepResult run_data_type_sweep(
-    const DroneWorld& world, const DroneInferenceCampaignConfig& config) {
+    const DroneWorld& world, const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context) {
   DataTypeSweepResult result;
   result.bers = config.bers;
   const DronePolicyBundle bundle = train_drone_policy(world, config.policy);
@@ -429,7 +431,7 @@ DataTypeSweepResult run_data_type_sweep(
   // Each row quantizes the network into a different QFormat, so each
   // row owns its cache slot.
   result.msf = sweep_msf_grid(
-      config, 0x7e, formats.size(), world, bundle.env_config,
+      config, context, 0x7e, formats.size(), world, bundle.env_config,
       [&](std::size_t row) {
         return std::make_unique<QuantizedInferenceEngine>(
             bundle.network, formats[row], bundle.c3f2.input_shape());
@@ -443,7 +445,8 @@ DataTypeSweepResult run_data_type_sweep(
 }
 
 DroneMitigationResult run_drone_mitigation_comparison(
-    const DroneWorld& world, const DroneInferenceCampaignConfig& config) {
+    const DroneWorld& world, const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context) {
   DroneMitigationResult result;
   result.bers = config.bers;
   const DronePolicyBundle bundle = train_drone_policy(world, config.policy);
@@ -457,12 +460,11 @@ DroneMitigationResult run_drone_mitigation_comparison(
     std::uint64_t detections = 0;
   };
   const std::size_t ber_count = config.bers.size();
-  const CampaignRunner runner(config.threads);
+  const CampaignRunner runner(context.threads);
   const std::string stream_tag =
       inference_stream_tag("drone-mitigation", config, &world);
-  CampaignStreamConfig stream = config.stream;
-  DistCampaign dist(config.dist, stream_tag, stream);
-  const int trial_batch = resolve_trial_batch(config.trial_batch);
+  CampaignStreamConfig stream = context.stream;
+  DistCampaign dist(context.dist, stream_tag, stream);
   const double trials_started = perf::now();
   const std::vector<Cell> cells = runner.map(
       stream_tag, 2 * ber_count, config.seed ^ 0x7f,
@@ -470,14 +472,13 @@ DroneMitigationResult run_drone_mitigation_comparison(
       [&](std::size_t trial, Rng& trial_rng, EngineCache& engines) {
         const bool mitigated = trial >= ber_count;
         const double ber = config.bers[trial % ber_count];
-        QuantizedInferenceEngine& engine = engines.acquire(
-            mitigated ? 1 : 0, trial_batch, [&] {
-              auto built = std::make_unique<QuantizedInferenceEngine>(
-                  bundle.network, QFormat::drone_weights(),
-                  bundle.c3f2.input_shape());
-              if (mitigated) built->enable_weight_protection(0.1);
-              return built;
-            });
+        QuantizedInferenceEngine& engine = engines.acquire(mitigated, [&] {
+          auto built = std::make_unique<QuantizedInferenceEngine>(
+              bundle.network, QFormat::drone_weights(),
+              bundle.c3f2.input_shape());
+          if (mitigated) built->enable_weight_protection(0.1);
+          return built;
+        });
         // The resident detector tallies across cells; this cell's
         // count (identical to a fresh engine's) is the delta.
         const std::uint64_t detections_before =

@@ -4,16 +4,19 @@
 // All inference campaigns share one offline-trained policy per world
 // and express faults through the QuantizedInferenceEngine's buffers;
 // the training campaign (Fig. 7a) exercises the OnlineFineTuner.
+// Every campaign takes the registry's ScenarioContext (threads,
+// streaming/checkpoint, multi-process role); policy training is not
+// checkpointed and re-runs on resume and in every worker.
 
 #include <string>
 #include <vector>
 
-#include "campaign/streaming.h"
-#include "dist/dist_campaign.h"
 #include "experiments/drone_policy.h"
 #include "util/table.h"
 
 namespace ftnav {
+
+struct ScenarioContext;
 
 // ---- Fig. 7a: faults during online fine-tuning ---------------------------
 
@@ -25,16 +28,6 @@ struct DroneTrainingCampaignConfig {
   double permanent_ber = 1e-3;           ///< BER for the stuck-at rows
   int eval_repeats = 5;
   std::uint64_t seed = 42;
-  /// Campaign worker threads; <= 0 selects hardware_concurrency.
-  /// Results are bit-identical for every value (see src/campaign/).
-  int threads = 0;
-  /// Streaming progress + checkpoint/resume. The transient grid and
-  /// the stuck-at sweep checkpoint to "<path>.transient" and
-  /// "<path>.flat"; policy training re-runs on resume.
-  CampaignStreamConfig stream;
-  /// Multi-process sharding (see src/dist/); each grid gets its own
-  /// work queue derived from its campaign tag.
-  DistConfig dist;
 };
 
 struct DroneTrainingCampaignResult {
@@ -51,13 +44,11 @@ struct DroneTrainingCampaignResult {
       : transient(std::move(rows), std::move(cols)) {}
 };
 
-/// Deprecated direct entry point: the scenario registry (src/scenario/,
-/// `fault_campaign run drone-training`) is the front door; this remains
-/// as a compile-compatible shim for downstream code.
-[[deprecated("use the scenario registry: fault_campaign run "
-             "drone-training")]]
+/// The transient grid and the stuck-at sweep checkpoint to
+/// "<path>.transient" and "<path>.flat".
 DroneTrainingCampaignResult run_drone_training_campaign(
-    const DroneWorld& world, const DroneTrainingCampaignConfig& config);
+    const DroneWorld& world, const DroneTrainingCampaignConfig& config,
+    const ScenarioContext& context);
 
 // ---- Fig. 7b-e and 10b: inference campaigns -------------------------------
 
@@ -66,20 +57,6 @@ struct DroneInferenceCampaignConfig {
   std::vector<double> bers;
   int repeats = 10;    ///< fault draws x rollouts per point
   std::uint64_t seed = 42;
-  /// Campaign worker threads; <= 0 selects hardware_concurrency.
-  /// Results are bit-identical for every value (see src/campaign/).
-  int threads = 0;
-  /// Engine reuse policy for the trial grid: 0 = shard-resident
-  /// engines (fast default), 1 = fresh engine per sweep cell,
-  /// negative = defer to FTNAV_TRIAL_BATCH; any other value is an
-  /// error. Bit-identical results for both values (reset_faults()
-  /// restores the golden word image; see nn/engine_slot.h).
-  int trial_batch = -1;
-  /// Streaming progress + checkpoint/resume for the trial grid
-  /// (policy training is not checkpointed and re-runs on resume).
-  CampaignStreamConfig stream;
-  /// Multi-process sharding (see src/dist/).
-  DistConfig dist;
 };
 
 /// Fig. 7b: MSF vs BER (transient weight faults) per environment.
@@ -88,10 +65,9 @@ struct EnvironmentSweepResult {
   std::vector<double> bers;
   std::vector<std::vector<double>> msf;  ///< [environment][ber]
 };
-[[deprecated("use the scenario registry: fault_campaign run "
-             "drone-environments")]]
 EnvironmentSweepResult run_environment_sweep(
-    const DroneInferenceCampaignConfig& config);
+    const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context);
 
 /// Fig. 7c: fault-location sensitivity.
 enum class DroneFaultLocation {
@@ -106,10 +82,9 @@ struct LocationSweepResult {
   std::vector<double> bers;
   std::vector<std::vector<double>> msf;  ///< [location][ber], enum order
 };
-[[deprecated("use the scenario registry: fault_campaign run "
-             "drone-fault-locations")]]
 LocationSweepResult run_location_sweep(
-    const DroneWorld& world, const DroneInferenceCampaignConfig& config);
+    const DroneWorld& world, const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context);
 
 /// Fig. 7d: per-layer weight-fault sensitivity (Conv1..FC2).
 struct LayerSweepResult {
@@ -117,10 +92,9 @@ struct LayerSweepResult {
   std::vector<double> bers;
   std::vector<std::vector<double>> msf;  ///< [layer][ber]
 };
-[[deprecated("use the scenario registry: fault_campaign run "
-             "drone-layers")]]
 LayerSweepResult run_layer_sweep(const DroneWorld& world,
-                                 const DroneInferenceCampaignConfig& config);
+                                 const DroneInferenceCampaignConfig& config,
+                                 const ScenarioContext& context);
 
 /// Fig. 7e: fixed-point data-type sensitivity.
 struct DataTypeSweepResult {
@@ -128,10 +102,9 @@ struct DataTypeSweepResult {
   std::vector<double> bers;
   std::vector<std::vector<double>> msf;  ///< [format][ber]
 };
-[[deprecated("use the scenario registry: fault_campaign run "
-             "drone-data-types")]]
 DataTypeSweepResult run_data_type_sweep(
-    const DroneWorld& world, const DroneInferenceCampaignConfig& config);
+    const DroneWorld& world, const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context);
 
 /// Fig. 10b: anomaly-detection mitigation on weight faults.
 struct DroneMitigationResult {
@@ -140,9 +113,8 @@ struct DroneMitigationResult {
   std::vector<double> mitigated_msf;
   std::uint64_t detections = 0;
 };
-[[deprecated("use the scenario registry: fault_campaign run "
-             "drone-mitigation")]]
 DroneMitigationResult run_drone_mitigation_comparison(
-    const DroneWorld& world, const DroneInferenceCampaignConfig& config);
+    const DroneWorld& world, const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context);
 
 }  // namespace ftnav

@@ -1,21 +1,18 @@
 #include "experiments/grid_inference.h"
 
-// This file *implements* the deprecated direct entry points (the
-// scenario registry calls them); internal cross-calls are fine.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 #include <algorithm>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "campaign/campaign_runner.h"
 #include "core/anomaly_detector.h"
 #include "core/injector.h"
-#include "nn/engine_slot.h"
 #include "nn/quantized_engine.h"
 #include "rl/mlp_q.h"
 #include "rl/tabular_q.h"
-#include "util/env_config.h"
+#include "scenario/scenario.h"
 #include "util/perf.h"
 
 namespace ftnav {
@@ -23,19 +20,30 @@ namespace {
 
 /// Greedy tabular rollout straight off a word buffer, optionally
 /// filtering each read through the anomaly detector (recovery = skip,
-/// i.e. the value reads as zero).
+/// i.e. the value reads as zero). With `transient1`, the reads of step
+/// `transient1_step` come from a copy of the table with those bit
+/// flips applied (a read-register upset lasts one step).
 bool tabular_rollout(const GridWorld& env, const QVector& table,
-                     RangeAnomalyDetector* detector, int max_steps) {
+                     RangeAnomalyDetector* detector, int max_steps,
+                     const FaultMap* transient1 = nullptr,
+                     int transient1_step = -1) {
   int state = env.source_state();
   for (int step = 0; step < max_steps; ++step) {
+    std::optional<QVector> upset;
+    if (transient1 != nullptr && step == transient1_step) {
+      upset.emplace(table);
+      transient1->apply_once(upset->words());
+    }
+    const QVector& view = upset ? *upset : table;
     int best_action = 0;
     double best_value = -1e30;
     for (int action = 0; action < GridWorld::action_count(); ++action) {
       const std::size_t index =
           static_cast<std::size_t>(state) * GridWorld::action_count() +
           static_cast<std::size_t>(action);
-      double value = table.get(index);
-      if (detector != nullptr) value = detector->filter(0, static_cast<float>(value));
+      double value = view.get(index);
+      if (detector != nullptr)
+        value = detector->filter(0, static_cast<float>(value));
       if (value > best_value) {
         best_value = value;
         best_action = action;
@@ -90,34 +98,11 @@ bool tabular_fault_trial(const GridWorld& env, const QVector& golden,
       return tabular_rollout(env, table, det, max_steps);
     }
     case InferenceFaultMode::kTransient1: {
-      // The register upset corrupts reads of a single step.
       const FaultMap map = FaultMap::sample(
           FaultType::kTransientFlip, ber, golden.size(),
           golden.format().total_bits(), rng);
       const int fault_step = static_cast<int>(rng.below(20));
-      int state = env.source_state();
-      for (int step = 0; step < max_steps; ++step) {
-        QVector view = golden;
-        if (step == fault_step) map.apply_once(view.words());
-        int best_action = 0;
-        double best_value = -1e30;
-        for (int action = 0; action < GridWorld::action_count(); ++action) {
-          const std::size_t index =
-              static_cast<std::size_t>(state) * GridWorld::action_count() +
-              static_cast<std::size_t>(action);
-          double value = view.get(index);
-          if (det != nullptr)
-            value = det->filter(0, static_cast<float>(value));
-          if (value > best_value) {
-            best_value = value;
-            best_action = action;
-          }
-        }
-        const GridWorld::StepResult step_result = env.step(state, best_action);
-        if (step_result.done) return step_result.reward > 0.0;
-        state = step_result.next_state;
-      }
-      return false;
+      return tabular_rollout(env, golden, det, max_steps, &map, fault_step);
     }
     case InferenceFaultMode::kStuckAt0:
     case InferenceFaultMode::kStuckAt1: {
@@ -176,10 +161,9 @@ bool nn_fault_trial(const GridWorld& env, QuantizedInferenceEngine& engine,
 struct InferenceAccum {
   std::vector<int> successes;
   std::vector<std::uint64_t> detections;
-  /// Runtime-only engine cache (NN path; see nn/engine_slot.h); never
-  /// merged or checkpointed — trial results are identical with or
-  /// without it.
-  std::unique_ptr<EngineSlot> engine_slot;
+  /// The shard's resident engine (NN path), built on its first trial;
+  /// never merged or checkpointed.
+  std::unique_ptr<QuantizedInferenceEngine> engine;
 
   explicit InferenceAccum(std::size_t cells)
       : successes(cells, 0), detections(cells, 0) {}
@@ -254,7 +238,7 @@ std::string to_string(InferenceFaultMode mode) {
 }
 
 InferenceCampaignResult run_inference_campaign(
-    const InferenceCampaignConfig& config) {
+    const InferenceCampaignConfig& config, const ScenarioContext& context) {
   if (config.repeats <= 0)
     throw std::invalid_argument("InferenceCampaignConfig: repeats <= 0");
   TrainedPolicies trained = train_policy(config);
@@ -272,7 +256,7 @@ InferenceCampaignResult run_inference_campaign(
   const std::size_t ber_count = config.bers.size();
   const std::size_t cell_count = 4 * ber_count;
   const auto repeat_count = static_cast<std::size_t>(config.repeats);
-  const CampaignRunner runner(config.threads);
+  const CampaignRunner runner(context.threads);
   const auto merge_accums = [](InferenceAccum& into,
                                InferenceAccum&& from) { into.merge(from); };
   // Checkpoint identity: the same config must never resume a grid it
@@ -292,8 +276,8 @@ InferenceCampaignResult run_inference_campaign(
           .hex();
   // Multi-process sharding: a worker runs only its leased shards into
   // a partial checkpoint; the coordinator merges partials and resumes.
-  CampaignStreamConfig stream = config.stream;
-  DistCampaign dist(config.dist, stream_tag, stream);
+  CampaignStreamConfig stream = context.stream;
+  DistCampaign dist(context.dist, stream_tag, stream);
   InferenceAccum totals(cell_count);
   // Trial-grid wall clock for the perf-trajectory record: the phase
   // the batched engine + SIMD kernels speed up, excluding the policy
@@ -334,12 +318,6 @@ InferenceCampaignResult run_inference_campaign(
     const Network& golden_net = trained.mlp->network();
     const QFormat format = trained.mlp->weights().format();
     const Shape input_shape{trained.env.state_count(), 1, 1};
-    // Engine reuse policy: 0 = one engine per shard (fast default),
-    // 1 = fresh engine per trial. reset_faults() restores the golden
-    // word image bit-exactly, so both yield identical results (see
-    // PersistentEngineMatchesFreshEngine in tests/test_quantized_engine.cpp
-    // and the CI determinism leg).
-    const int trial_batch = resolve_trial_batch(config.trial_batch);
 
     totals = runner.map_reduce(
         stream_tag, cell_count * repeat_count, config.seed ^ 0xabcd,
@@ -349,15 +327,15 @@ InferenceCampaignResult run_inference_campaign(
           const auto mode =
               static_cast<InferenceFaultMode>(cell / ber_count);
           const double ber = config.bers[cell % ber_count];
-          if (!acc.engine_slot) acc.engine_slot = std::make_unique<EngineSlot>();
-          QuantizedInferenceEngine& engine =
-              acc.engine_slot->acquire(trial_batch, [&] {
-                auto built = std::make_unique<QuantizedInferenceEngine>(
-                    golden_net, format, input_shape);
-                if (config.mitigated)
-                  built->enable_weight_protection(config.detector_margin);
-                return built;
-              });
+          if (!acc.engine) {
+            acc.engine = std::make_unique<QuantizedInferenceEngine>(
+                golden_net, format, input_shape);
+            if (config.mitigated)
+              acc.engine->enable_weight_protection(config.detector_margin);
+          }
+          // nn_fault_trial's reset_faults() restores the golden word
+          // image before every trial.
+          QuantizedInferenceEngine& engine = *acc.engine;
           // The resident detector tallies across trials; the per-trial
           // count (identical to a fresh engine's) is the delta.
           const std::uint64_t detections_before =
@@ -393,19 +371,19 @@ InferenceCampaignResult run_inference_campaign(
 }
 
 MitigationComparison run_inference_mitigation_comparison(
-    const InferenceCampaignConfig& config) {
+    const InferenceCampaignConfig& config, const ScenarioContext& context) {
   MitigationComparison comparison;
   comparison.bers = config.bers;
 
-  InferenceCampaignConfig baseline = config;
-  baseline.mitigated = false;
-  baseline.stream = with_checkpoint_suffix(config.stream, "baseline");
-  const InferenceCampaignResult off = run_inference_campaign(baseline);
+  InferenceCampaignConfig arm = config;
+  ScenarioContext arm_context = context;
+  arm.mitigated = false;
+  arm_context.stream = with_checkpoint_suffix(context.stream, "baseline");
+  const InferenceCampaignResult off = run_inference_campaign(arm, arm_context);
 
-  InferenceCampaignConfig hardened = config;
-  hardened.mitigated = true;
-  hardened.stream = with_checkpoint_suffix(config.stream, "mitigated");
-  const InferenceCampaignResult on = run_inference_campaign(hardened);
+  arm.mitigated = true;
+  arm_context.stream = with_checkpoint_suffix(context.stream, "mitigated");
+  const InferenceCampaignResult on = run_inference_campaign(arm, arm_context);
 
   comparison.baseline_success = off.success_by_mode[0];   // Transient-M
   comparison.mitigated_success = on.success_by_mode[0];

@@ -12,8 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "campaign/streaming.h"
-#include "dist/dist_campaign.h"
 #include "experiments/grid_training.h"
 
 namespace ftnav {
@@ -38,24 +36,6 @@ struct InferenceCampaignConfig {
   /// Detection margin for the mitigated arm (the paper uses 10%).
   double detector_margin = 0.1;
   std::uint64_t seed = 42;
-  /// Campaign worker threads; <= 0 selects hardware_concurrency.
-  /// Results are bit-identical for every value (see src/campaign/).
-  int threads = 0;
-  /// NN engine reuse within a shard: 0 keeps one resident
-  /// QuantizedInferenceEngine for the whole shard and injects per-trial
-  /// faults into its weight image (golden-snapshot restore between
-  /// trials; the fast default), 1 builds a fresh engine per trial (the
-  /// reference the residency tests compare against). A negative value
-  /// (the default) reads FTNAV_TRIAL_BATCH (default 0); any other value
-  /// is an error. Results are bit-identical for both values —
-  /// deliberately NOT part of the checkpoint fingerprint.
-  int trial_batch = -1;
-  /// Streaming progress + checkpoint/resume for the trial grid
-  /// (policy training is not checkpointed and re-runs on resume).
-  CampaignStreamConfig stream;
-  /// Multi-process sharding (see src/dist/); policy training re-runs
-  /// per worker, the trial grid is partitioned via the work queue.
-  DistConfig dist;
 };
 
 struct InferenceCampaignResult {
@@ -67,13 +47,13 @@ struct InferenceCampaignResult {
   std::uint64_t detections = 0;
 };
 
-/// Deprecated direct entry point: the scenario registry
-/// (src/scenario/, `fault_campaign run grid-inference`) is the front
-/// door; this remains as a compile-compatible shim for downstream code.
-[[deprecated("use the scenario registry: fault_campaign run "
-             "grid-inference")]]
+/// Trains the policy fault-free, then runs the (mode, BER, repeat)
+/// trial grid. Only the trial grid is checkpointed and distributed;
+/// policy training re-runs on resume and in every worker. NN trials
+/// run on one resident engine per shard whose faults reset_faults()
+/// undoes between trials.
 InferenceCampaignResult run_inference_campaign(
-    const InferenceCampaignConfig& config);
+    const InferenceCampaignConfig& config, const ScenarioContext& context);
 
 /// Fig. 10a: success% with and without mitigation under Transient-M
 /// weight faults (NN policy).
@@ -83,9 +63,9 @@ struct MitigationComparison {
   std::vector<double> mitigated_success;
 };
 
-[[deprecated("use the scenario registry: fault_campaign run "
-             "grid-inference-mitigation")]]
+/// Runs the baseline and the mitigated arm as two campaigns that
+/// checkpoint to "<path>.baseline" and "<path>.mitigated".
 MitigationComparison run_inference_mitigation_comparison(
-    const InferenceCampaignConfig& config);
+    const InferenceCampaignConfig& config, const ScenarioContext& context);
 
 }  // namespace ftnav

@@ -7,6 +7,7 @@
 #include "core/injector.h"
 #include "rl/mlp_q.h"
 #include "rl/tabular_q.h"
+#include "scenario/scenario.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -140,8 +141,8 @@ GridTrainResult run_grid_training(const GridTrainSpec& spec) {
   return result;
 }
 
-HeatmapGrid run_transient_training_heatmap(
-    const TrainingHeatmapConfig& config) {
+HeatmapGrid run_transient_training_heatmap(const TrainingHeatmapConfig& config,
+                                           const ScenarioContext& context) {
   std::vector<std::string> row_labels;
   for (double ber : config.bers)
     row_labels.push_back(format_double(ber * 100.0, 1) + "%");
@@ -157,7 +158,7 @@ HeatmapGrid run_transient_training_heatmap(
   const std::size_t cols = config.injection_episodes.size();
   const std::size_t cell_count = config.bers.size() * cols;
   const auto repeats = static_cast<std::size_t>(config.repeats);
-  const CampaignRunner runner(config.threads);
+  const CampaignRunner runner(context.threads);
   const std::string stream_tag =
       std::string("grid-training/transient-heatmap/") +
       to_string(config.kind) + (config.mitigated ? "/mitigated" : "") +
@@ -170,8 +171,8 @@ HeatmapGrid run_transient_training_heatmap(
           .add(config.injection_episodes)
           .hex();
   CampaignStreamConfig stream =
-      with_checkpoint_suffix(config.stream, "transient");
-  DistCampaign dist(config.dist, stream_tag, stream);
+      with_checkpoint_suffix(context.stream, "transient");
+  DistCampaign dist(context.dist, stream_tag, stream);
   const std::vector<int> successes = runner.map_reduce(
       stream_tag, cell_count * repeats, config.seed,
       [&] { return std::vector<int>(cell_count, 0); },
@@ -200,7 +201,7 @@ HeatmapGrid run_transient_training_heatmap(
 }
 
 PermanentTrainingSweep run_permanent_training_sweep(
-    const TrainingHeatmapConfig& config) {
+    const TrainingHeatmapConfig& config, const ScenarioContext& context) {
   PermanentTrainingSweep sweep;
   sweep.bers = config.bers;
 
@@ -208,7 +209,7 @@ PermanentTrainingSweep run_permanent_training_sweep(
   // cells first, matching the result layout.
   const std::size_t ber_count = config.bers.size();
   const auto repeats = static_cast<std::size_t>(config.repeats);
-  const CampaignRunner runner(config.threads);
+  const CampaignRunner runner(context.threads);
   const std::string stream_tag =
       std::string("grid-training/permanent-sweep/") +
       to_string(config.kind) + (config.mitigated ? "/mitigated" : "") +
@@ -220,8 +221,8 @@ PermanentTrainingSweep run_permanent_training_sweep(
           .add(config.bers)
           .hex();
   CampaignStreamConfig stream =
-      with_checkpoint_suffix(config.stream, "permanent");
-  DistCampaign dist(config.dist, stream_tag, stream);
+      with_checkpoint_suffix(context.stream, "permanent");
+  DistCampaign dist(context.dist, stream_tag, stream);
   const std::vector<int> successes = runner.map_reduce(
       stream_tag, 2 * ber_count * repeats, config.seed ^ 0x9e37,
       [&] { return std::vector<int>(2 * ber_count, 0); },
@@ -332,17 +333,27 @@ std::vector<RewardCurve> run_reward_curves(GridPolicyKind kind, int episodes,
 
 TransientConvergenceResult run_transient_convergence(
     GridPolicyKind kind, const std::vector<double>& bers, int fault_episode,
-    int max_extra_episodes, int repeats, std::uint64_t seed, int threads) {
+    int max_extra_episodes, int repeats, std::uint64_t seed,
+    const ScenarioContext& context) {
   TransientConvergenceResult result;
   result.bers = bers;
 
   // Per-trial recovery times collected in parallel, then folded in
   // trial order so the floating-point means are thread-count-invariant.
   const auto repeat_count = static_cast<std::size_t>(repeats);
-  const CampaignRunner runner(threads);
+  const CampaignRunner runner(context.threads);
+  const std::string stream_tag =
+      "grid-training/transient-convergence/" + to_string(kind) + "#" +
+      ConfigDigest()
+          .add(bers)
+          .add(fault_episode)
+          .add(max_extra_episodes)
+          .add(repeats)
+          .hex();
+  CampaignStreamConfig stream = context.stream;
+  DistCampaign dist(context.dist, stream_tag, stream);
   const std::vector<int> recoveries = runner.map(
-      "grid-training/transient-convergence/" + to_string(kind),
-      bers.size() * repeat_count, seed ^ 0xc0ffee,
+      stream_tag, bers.size() * repeat_count, seed ^ 0xc0ffee,
       [&](std::size_t trial, Rng& rng) {
         GridTrainSpec spec;
         spec.kind = kind;
@@ -352,7 +363,8 @@ TransientConvergenceResult run_transient_convergence(
         spec.track_reconvergence = true;
         spec.seed = rng();
         return run_grid_training(spec).reconverge_episodes;
-      });
+      },
+      stream);
   for (std::size_t b = 0; b < bers.size(); ++b) {
     RunningStats episodes_taken;
     int failures = 0;
@@ -375,17 +387,27 @@ TransientConvergenceResult run_transient_convergence(
 PermanentConvergenceResult run_permanent_convergence(
     GridPolicyKind kind, const std::vector<double>& bers, int early_episode,
     int late_episode, int extra_episodes, int repeats, std::uint64_t seed,
-    int threads) {
+    const ScenarioContext& context) {
   PermanentConvergenceResult result;
   result.bers = bers;
 
   // Trial grid: (BER, arm, repeat) where the four arms per BER are
   // (SA0 early, SA0 late, SA1 early, SA1 late).
   const auto repeat_count = static_cast<std::size_t>(repeats);
-  const CampaignRunner runner(threads);
+  const CampaignRunner runner(context.threads);
+  const std::string stream_tag =
+      "grid-training/permanent-convergence/" + to_string(kind) + "#" +
+      ConfigDigest()
+          .add(bers)
+          .add(early_episode)
+          .add(late_episode)
+          .add(extra_episodes)
+          .add(repeats)
+          .hex();
+  CampaignStreamConfig stream = context.stream;
+  DistCampaign dist(context.dist, stream_tag, stream);
   const std::vector<char> successes = runner.map(
-      "grid-training/permanent-convergence/" + to_string(kind),
-      bers.size() * 4 * repeat_count, seed ^ 0xdead,
+      stream_tag, bers.size() * 4 * repeat_count, seed ^ 0xdead,
       [&](std::size_t trial, Rng& rng) -> char {
         const std::size_t cell = trial / repeat_count;
         const std::size_t arm = cell % 4;
@@ -399,7 +421,8 @@ PermanentConvergenceResult run_permanent_convergence(
         spec.permanent_episode = inject_at;
         spec.seed = rng();
         return run_grid_training(spec).success ? 1 : 0;
-      });
+      },
+      stream);
   const auto cell_pct = [&](std::size_t b, std::size_t arm) {
     std::size_t wins = 0;
     const std::size_t base = (b * 4 + arm) * repeat_count;
@@ -418,7 +441,7 @@ PermanentConvergenceResult run_permanent_convergence(
 
 std::vector<ExplorationStudyRow> run_exploration_study(
     GridPolicyKind kind, const std::vector<double>& bers, int episodes,
-    int repeats, std::uint64_t seed, int threads) {
+    int repeats, std::uint64_t seed, const ScenarioContext& context) {
   const std::vector<FaultType> types = {
       FaultType::kTransientFlip, FaultType::kStuckAt0, FaultType::kStuckAt1};
   const int transient_episode = static_cast<int>(0.6 * episodes);
@@ -430,10 +453,14 @@ std::vector<ExplorationStudyRow> run_exploration_study(
     int recovery = 0;
   };
   const auto repeat_count = static_cast<std::size_t>(repeats);
-  const CampaignRunner runner(threads);
+  const CampaignRunner runner(context.threads);
+  const std::string stream_tag =
+      "grid-training/exploration-study/" + to_string(kind) + "#" +
+      ConfigDigest().add(bers).add(episodes).add(repeats).hex();
+  CampaignStreamConfig stream = context.stream;
+  DistCampaign dist(context.dist, stream_tag, stream);
   const std::vector<Telemetry> trials = runner.map(
-      "grid-training/exploration-study/" + to_string(kind),
-      types.size() * bers.size() * repeat_count, seed ^ 0xfeed,
+      stream_tag, types.size() * bers.size() * repeat_count, seed ^ 0xfeed,
       [&](std::size_t trial, Rng& rng) {
         const std::size_t cell = trial / repeat_count;
         const FaultType type = types[cell / bers.size()];
@@ -460,7 +487,8 @@ std::vector<ExplorationStudyRow> run_exploration_study(
                                  ? run.reconverge_episodes
                                  : episodes - transient_episode;
         return telemetry;
-      });
+      },
+      stream);
 
   std::vector<ExplorationStudyRow> rows;
   for (std::size_t cell = 0; cell < types.size() * bers.size(); ++cell) {

@@ -7,21 +7,25 @@
 // permanent stuck-at fault), with the exploration schedule either fixed
 // (baseline) or managed by the adaptive controller (mitigation, §5.1).
 // Campaign functions sweep BER x injection-episode grids and aggregate
-// success rates, reproducing the paper's heatmaps.
+// success rates, reproducing the paper's heatmaps. They run through the
+// scenario registry (src/scenario/builtin_scenarios.cpp), whose
+// ScenarioContext supplies their threads, streaming/checkpoint and
+// multi-process knobs; results never depend on those knobs.
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "campaign/streaming.h"
 #include "core/exploration.h"
-#include "dist/dist_campaign.h"
 #include "core/fault_model.h"
 #include "envs/gridworld.h"
 #include "util/histogram.h"
 #include "util/table.h"
 
 namespace ftnav {
+
+struct ScenarioContext;
 
 enum class GridPolicyKind { kTabular, kNeuralNet };
 std::string to_string(GridPolicyKind kind);
@@ -84,26 +88,12 @@ struct TrainingHeatmapConfig {
   int repeats = 10;
   bool mitigated = false;
   std::uint64_t seed = 42;
-  /// Campaign worker threads; <= 0 selects hardware_concurrency.
-  /// Results are bit-identical for every value (see src/campaign/).
-  int threads = 0;
-  /// Streaming progress + checkpoint/resume. The transient heatmap and
-  /// the permanent sweep checkpoint to "<path>.transient" and
-  /// "<path>.permanent" respectively.
-  CampaignStreamConfig stream;
-  /// Multi-process sharding (see src/dist/); each grid gets its own
-  /// work queue derived from its campaign tag.
-  DistConfig dist;
 };
 
 /// Success rate (%) per (BER, injection episode) cell under transient
-/// faults injected during training.
-/// Deprecated direct entry point: the scenario registry (src/scenario/,
-/// `fault_campaign run grid-training-transient`) is the front door;
-/// this remains as a compile-compatible shim for downstream code.
-[[deprecated("use the scenario registry: fault_campaign run "
-             "grid-training-transient")]]
-HeatmapGrid run_transient_training_heatmap(const TrainingHeatmapConfig& config);
+/// faults injected during training. Checkpoints to "<path>.transient".
+HeatmapGrid run_transient_training_heatmap(const TrainingHeatmapConfig& config,
+                                           const ScenarioContext& context);
 
 // ---- Fig. 2a / 2c (right block): permanent faults in training ----------
 
@@ -113,10 +103,10 @@ struct PermanentTrainingSweep {
   std::vector<double> stuck_at_1_success;  ///< %
 };
 
-[[deprecated("use the scenario registry: fault_campaign run "
-             "grid-training-permanent")]]
+/// Stuck-at-0/1 success rates per BER; checkpoints to
+/// "<path>.permanent".
 PermanentTrainingSweep run_permanent_training_sweep(
-    const TrainingHeatmapConfig& config);
+    const TrainingHeatmapConfig& config, const ScenarioContext& context);
 
 // ---- Fig. 2b / 2d: trained-value histograms -----------------------------
 
@@ -152,12 +142,10 @@ struct TransientConvergenceResult {
   std::vector<double> failure_fraction;  ///< runs that never re-converged
 };
 
-[[deprecated("use the scenario registry: fault_campaign run "
-             "grid-convergence-transient")]]
 TransientConvergenceResult run_transient_convergence(
     GridPolicyKind kind, const std::vector<double>& bers, int fault_episode,
     int max_extra_episodes, int repeats, std::uint64_t seed,
-    int threads = 0);
+    const ScenarioContext& context);
 
 // ---- Fig. 4b / 4d: permanent faults + extra training --------------------
 
@@ -170,12 +158,10 @@ struct PermanentConvergenceResult {
   std::vector<double> sa1_late;
 };
 
-[[deprecated("use the scenario registry: fault_campaign run "
-             "grid-convergence-permanent")]]
 PermanentConvergenceResult run_permanent_convergence(
     GridPolicyKind kind, const std::vector<double>& bers, int early_episode,
     int late_episode, int extra_episodes, int repeats, std::uint64_t seed,
-    int threads = 0);
+    const ScenarioContext& context);
 
 // ---- Fig. 9: exploration adaptation telemetry ---------------------------
 
@@ -187,10 +173,8 @@ struct ExplorationStudyRow {
   double mean_recovery_episodes = 0.0;  ///< transient only; -1 if n/a
 };
 
-[[deprecated("use the scenario registry: fault_campaign run "
-             "grid-exploration-study")]]
 std::vector<ExplorationStudyRow> run_exploration_study(
     GridPolicyKind kind, const std::vector<double>& bers, int episodes,
-    int repeats, std::uint64_t seed, int threads = 0);
+    int repeats, std::uint64_t seed, const ScenarioContext& context);
 
 }  // namespace ftnav

@@ -7,6 +7,9 @@
 
 #include "envs/drone_world.h"
 #include "envs/gridworld.h"
+#include "experiments/drone_campaigns.h"
+#include "experiments/grid_inference.h"
+#include "experiments/grid_training.h"
 #include "nn/c3f2.h"
 #include "nn/layers.h"
 #include "rl/dqn.h"
@@ -14,10 +17,6 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
-
-// The registry is the front door; the experiment drivers it wraps are
-// deprecated for direct use but remain the implementation underneath.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace ftnav {
 namespace {
@@ -156,10 +155,52 @@ std::string json_array(const std::vector<double>& values) {
   return out + "]";
 }
 
+// ---- result formatters ----------------------------------------------------
+
+std::string inference_campaign_json(const InferenceCampaignConfig& config,
+                                    const InferenceCampaignResult& result) {
+  std::ostringstream out;
+  out << "{\"policy\": " << json_quote(to_string(config.kind))
+      << ", \"mitigated\": " << (config.mitigated ? "true" : "false")
+      << ", \"train_episodes\": " << config.train_episodes
+      << ", \"repeats\": " << config.repeats << ",\n \"bers\": "
+      << json_array(result.bers) << ",\n \"success_by_mode\": [";
+  for (std::size_t mode = 0; mode < result.success_by_mode.size(); ++mode)
+    out << (mode ? ", " : "") << json_array(result.success_by_mode[mode]);
+  out << "],\n \"detections\": " << result.detections << "}";
+  return out.str();
+}
+
+std::string mitigation_comparison_json(const MitigationComparison& result) {
+  return "{\"bers\": " + json_array(result.bers) +
+         ",\n \"baseline_success\": " + json_array(result.baseline_success) +
+         ",\n \"mitigated_success\": " +
+         json_array(result.mitigated_success) + "}";
+}
+
+std::string permanent_sweep_json(const PermanentTrainingSweep& sweep) {
+  return "{\"bers\": " + json_array(sweep.bers) +
+         ",\n \"stuck_at_0_success\": " +
+         json_array(sweep.stuck_at_0_success) +
+         ",\n \"stuck_at_1_success\": " +
+         json_array(sweep.stuck_at_1_success) + "}";
+}
+
+std::string environment_sweep_json(const EnvironmentSweepResult& result) {
+  std::ostringstream out;
+  out << "{\"environments\": [";
+  for (std::size_t e = 0; e < result.environments.size(); ++e)
+    out << (e ? ", " : "") << json_quote(result.environments[e]);
+  out << "],\n \"bers\": " << json_array(result.bers) << ",\n \"msf\": [";
+  for (std::size_t e = 0; e < result.msf.size(); ++e)
+    out << (e ? ", " : "") << json_array(result.msf[e]);
+  out << "]}";
+  return out.str();
+}
+
 // ---- grid inference -------------------------------------------------------
 
-InferenceCampaignConfig inference_config_of(const ParamSet& params,
-                                            ScenarioContext& context) {
+InferenceCampaignConfig inference_config_of(const ParamSet& params) {
   InferenceCampaignConfig config;
   config.kind = policy_of(params);
   config.density = density_of(params);
@@ -169,9 +210,6 @@ InferenceCampaignConfig inference_config_of(const ParamSet& params,
   config.mitigated = params.get_bool("mitigate");
   config.detector_margin = params.get_double("detector-margin");
   config.seed = static_cast<std::uint64_t>(params.get_int("seed"));
-  config.threads = context.threads;
-  config.stream = context.stream;
-  config.dist = context.dist;
   return config;
 }
 
@@ -209,8 +247,9 @@ InferenceFaultMode mode_of(const ParamSet& params) {
 
 ScenarioResult run_grid_inference(const ParamSet& params,
                                   ScenarioContext& context) {
-  const InferenceCampaignConfig config = inference_config_of(params, context);
-  const InferenceCampaignResult result = run_inference_campaign(config);
+  const InferenceCampaignConfig config = inference_config_of(params);
+  const InferenceCampaignResult result =
+      run_inference_campaign(config, context);
 
   std::ostringstream text;
   Table table(
@@ -280,11 +319,8 @@ ScenarioResult run_grid_inference_mitigation(const ParamSet& params,
   config.repeats = static_cast<int>(params.get_int("repeats"));
   config.detector_margin = params.get_double("detector-margin");
   config.seed = static_cast<std::uint64_t>(params.get_int("seed"));
-  config.threads = context.threads;
-  config.stream = context.stream;
-  config.dist = context.dist;
   const MitigationComparison comparison =
-      run_inference_mitigation_comparison(config);
+      run_inference_mitigation_comparison(config, context);
 
   std::ostringstream text;
   Table table({"BER", "no mitigation", "mitigation"});
@@ -336,8 +372,7 @@ std::vector<ParamSpec> training_params() {
   };
 }
 
-TrainingHeatmapConfig training_config_of(const ParamSet& params,
-                                         ScenarioContext& context) {
+TrainingHeatmapConfig training_config_of(const ParamSet& params) {
   TrainingHeatmapConfig config;
   config.kind = policy_of(params);
   config.density = density_of(params);
@@ -348,16 +383,13 @@ TrainingHeatmapConfig training_config_of(const ParamSet& params,
   config.repeats = static_cast<int>(params.get_int("repeats"));
   config.mitigated = params.get_bool("mitigate");
   config.seed = static_cast<std::uint64_t>(params.get_int("seed"));
-  config.threads = context.threads;
-  config.stream = context.stream;
-  config.dist = context.dist;
   return config;
 }
 
 ScenarioResult run_training_transient(const ParamSet& params,
                                       ScenarioContext& context) {
-  const TrainingHeatmapConfig config = training_config_of(params, context);
-  const HeatmapGrid grid = run_transient_training_heatmap(config);
+  const HeatmapGrid grid =
+      run_transient_training_heatmap(training_config_of(params), context);
   ScenarioResult out;
   out.text = "success rate (%) by (BER, injection episode), transient "
              "faults during training:\n" +
@@ -368,8 +400,8 @@ ScenarioResult run_training_transient(const ParamSet& params,
 
 ScenarioResult run_training_permanent(const ParamSet& params,
                                       ScenarioContext& context) {
-  const TrainingHeatmapConfig config = training_config_of(params, context);
-  const PermanentTrainingSweep sweep = run_permanent_training_sweep(config);
+  const PermanentTrainingSweep sweep =
+      run_permanent_training_sweep(training_config_of(params), context);
   std::ostringstream text;
   Table table({"BER", "stuck-at-0 success%", "stuck-at-1 success%"});
   for (std::size_t i = 0; i < sweep.bers.size(); ++i) {
@@ -395,7 +427,7 @@ ScenarioResult run_convergence_transient(const ParamSet& params,
       policy_of(params), bers, fault_episode,
       static_cast<int>(params.get_int("max-extra-episodes")),
       static_cast<int>(params.get_int("repeats")),
-      static_cast<std::uint64_t>(params.get_int("seed")), context.threads);
+      static_cast<std::uint64_t>(params.get_int("seed")), context);
 
   std::ostringstream text;
   Table table({"BER", "total episodes to converge", "never-converged %"});
@@ -424,7 +456,7 @@ ScenarioResult run_convergence_permanent(const ParamSet& params,
   const PermanentConvergenceResult result = run_permanent_convergence(
       policy_of(params), bers, early, late, extra,
       static_cast<int>(params.get_int("repeats")),
-      static_cast<std::uint64_t>(params.get_int("seed")), context.threads);
+      static_cast<std::uint64_t>(params.get_int("seed")), context);
 
   std::ostringstream text;
   Table table(
@@ -454,7 +486,7 @@ ScenarioResult run_exploration(const ParamSet& params,
       policy_of(params), params.get_double_list("bers"),
       static_cast<int>(params.get_int("episodes")),
       static_cast<int>(params.get_int("repeats")),
-      static_cast<std::uint64_t>(params.get_int("seed")), context.threads);
+      static_cast<std::uint64_t>(params.get_int("seed")), context);
 
   std::ostringstream text;
   Table table({"fault", "BER", "peak exploration %", "episodes to steady",
@@ -563,15 +595,12 @@ ScenarioResult run_value_histogram(const ParamSet& params,
 // ---- drone campaigns ------------------------------------------------------
 
 DroneInferenceCampaignConfig drone_inference_config_of(
-    const ParamSet& params, ScenarioContext& context) {
+    const ParamSet& params) {
   DroneInferenceCampaignConfig config;
   config.policy = drone_policy_of(params);
   config.bers = params.get_double_list("bers");
   config.repeats = static_cast<int>(params.get_int("repeats"));
   config.seed = static_cast<std::uint64_t>(params.get_int("seed"));
-  config.threads = context.threads;
-  config.stream = context.stream;
-  config.dist = context.dist;
   return config;
 }
 
@@ -615,11 +644,8 @@ ScenarioResult run_drone_training_scenario(const ParamSet& params,
   config.permanent_ber = params.get_double("permanent-ber");
   config.eval_repeats = static_cast<int>(params.get_int("eval-repeats"));
   config.seed = static_cast<std::uint64_t>(params.get_int("seed"));
-  config.threads = context.threads;
-  config.stream = context.stream;
-  config.dist = context.dist;
   const DroneTrainingCampaignResult result =
-      run_drone_training_campaign(world_of(params), config);
+      run_drone_training_campaign(world_of(params), config, context);
 
   std::ostringstream text;
   char header[64];
@@ -644,9 +670,8 @@ ScenarioResult run_drone_training_scenario(const ParamSet& params,
 
 ScenarioResult run_drone_environments(const ParamSet& params,
                                       ScenarioContext& context) {
-  const DroneInferenceCampaignConfig config =
-      drone_inference_config_of(params, context);
-  const EnvironmentSweepResult result = run_environment_sweep(config);
+  const EnvironmentSweepResult result =
+      run_environment_sweep(drone_inference_config_of(params), context);
   std::vector<std::string> series;
   for (const std::string& environment : result.environments)
     series.push_back(environment + " MSF (m)");
@@ -660,10 +685,8 @@ ScenarioResult run_drone_environments(const ParamSet& params,
 
 ScenarioResult run_drone_locations(const ParamSet& params,
                                    ScenarioContext& context) {
-  const DroneInferenceCampaignConfig config =
-      drone_inference_config_of(params, context);
-  const LocationSweepResult result =
-      run_location_sweep(world_of(params), config);
+  const LocationSweepResult result = run_location_sweep(
+      world_of(params), drone_inference_config_of(params), context);
   const Table table = drone_sweep_table(
       result.bers, {"Input", "Weight", "Act (T)", "Act (P)"}, result.msf);
   ScenarioResult out;
@@ -674,9 +697,8 @@ ScenarioResult run_drone_locations(const ParamSet& params,
 
 ScenarioResult run_drone_layers(const ParamSet& params,
                                 ScenarioContext& context) {
-  const DroneInferenceCampaignConfig config =
-      drone_inference_config_of(params, context);
-  const LayerSweepResult result = run_layer_sweep(world_of(params), config);
+  const LayerSweepResult result = run_layer_sweep(
+      world_of(params), drone_inference_config_of(params), context);
   const Table table =
       drone_sweep_table(result.bers, result.layers, result.msf);
   ScenarioResult out;
@@ -687,10 +709,8 @@ ScenarioResult run_drone_layers(const ParamSet& params,
 
 ScenarioResult run_drone_data_types(const ParamSet& params,
                                     ScenarioContext& context) {
-  const DroneInferenceCampaignConfig config =
-      drone_inference_config_of(params, context);
-  const DataTypeSweepResult result =
-      run_data_type_sweep(world_of(params), config);
+  const DataTypeSweepResult result = run_data_type_sweep(
+      world_of(params), drone_inference_config_of(params), context);
   const Table table =
       drone_sweep_table(result.bers, result.formats, result.msf);
   ScenarioResult out;
@@ -702,10 +722,8 @@ ScenarioResult run_drone_data_types(const ParamSet& params,
 
 ScenarioResult run_drone_mitigation_scenario(const ParamSet& params,
                                              ScenarioContext& context) {
-  const DroneInferenceCampaignConfig config =
-      drone_inference_config_of(params, context);
-  const DroneMitigationResult result =
-      run_drone_mitigation_comparison(world_of(params), config);
+  const DroneMitigationResult result = run_drone_mitigation_comparison(
+      world_of(params), drone_inference_config_of(params), context);
 
   std::ostringstream text;
   Table table({"BER", "no mitigation", "mitigation"});
@@ -763,14 +781,13 @@ ScenarioResult run_margin_ablation(const ParamSet& params,
     config.seed = static_cast<std::uint64_t>(params.get_int("seed"));
     config.mitigated = true;
     config.detector_margin = margins[i];
-    config.threads = context.threads;
     // Every margin arm is its own campaign: per-arm checkpoint files
     // (the config digest already separates their fingerprints).
-    std::string suffix = "m";
-    suffix += std::to_string(i);
-    config.stream = with_checkpoint_suffix(context.stream, suffix);
-    config.dist = context.dist;
-    const InferenceCampaignResult result = run_inference_campaign(config);
+    ScenarioContext arm_context = context;
+    arm_context.stream =
+        with_checkpoint_suffix(context.stream, "m" + std::to_string(i));
+    const InferenceCampaignResult result =
+        run_inference_campaign(config, arm_context);
     table.add_row({format_double(margins[i] * 100.0, 0) + "%",
                    format_double(result.success_by_mode[0][0], 1)});
   }
@@ -1151,49 +1168,6 @@ ScenarioSpec with_cost(ScenarioSpec spec,
 }
 
 }  // namespace
-
-// ---- exported formatters --------------------------------------------------
-
-std::string inference_campaign_json(const InferenceCampaignConfig& config,
-                                    const InferenceCampaignResult& result) {
-  std::ostringstream out;
-  out << "{\"policy\": " << json_quote(to_string(config.kind))
-      << ", \"mitigated\": " << (config.mitigated ? "true" : "false")
-      << ", \"train_episodes\": " << config.train_episodes
-      << ", \"repeats\": " << config.repeats << ",\n \"bers\": "
-      << json_array(result.bers) << ",\n \"success_by_mode\": [";
-  for (std::size_t mode = 0; mode < result.success_by_mode.size(); ++mode)
-    out << (mode ? ", " : "") << json_array(result.success_by_mode[mode]);
-  out << "],\n \"detections\": " << result.detections << "}";
-  return out.str();
-}
-
-std::string mitigation_comparison_json(const MitigationComparison& result) {
-  return "{\"bers\": " + json_array(result.bers) +
-         ",\n \"baseline_success\": " + json_array(result.baseline_success) +
-         ",\n \"mitigated_success\": " +
-         json_array(result.mitigated_success) + "}";
-}
-
-std::string permanent_sweep_json(const PermanentTrainingSweep& sweep) {
-  return "{\"bers\": " + json_array(sweep.bers) +
-         ",\n \"stuck_at_0_success\": " +
-         json_array(sweep.stuck_at_0_success) +
-         ",\n \"stuck_at_1_success\": " +
-         json_array(sweep.stuck_at_1_success) + "}";
-}
-
-std::string environment_sweep_json(const EnvironmentSweepResult& result) {
-  std::ostringstream out;
-  out << "{\"environments\": [";
-  for (std::size_t e = 0; e < result.environments.size(); ++e)
-    out << (e ? ", " : "") << json_quote(result.environments[e]);
-  out << "],\n \"bers\": " << json_array(result.bers) << ",\n \"msf\": [";
-  for (std::size_t e = 0; e < result.msf.size(); ++e)
-    out << (e ? ", " : "") << json_array(result.msf[e]);
-  out << "]}";
-  return out.str();
-}
 
 // ---- registration ---------------------------------------------------------
 

@@ -1,19 +1,10 @@
 #pragma once
-// Registration of every built-in campaign as a named scenario, plus
-// the shared result→JSON formatters.
-//
-// The formatters are exported (not buried in the registrations) so
-// tests can assert the registry contract directly: running a scenario
-// through the registry must produce byte-identical JSON — and, with a
-// checkpoint configured, byte-identical checkpoint files — to calling
-// the underlying experiment driver with the same configuration and
-// formatting its result with the same function (tests/test_scenario.cpp).
+// Registration of every built-in campaign as a named scenario. Each
+// registration binds its ParamSet into a campaign config
+// (src/experiments/), runs the campaign with the invocation's
+// ScenarioContext and renders the result. tests/test_golden.cpp pins
+// the text, JSON and checkpoint bytes every scenario produces.
 
-#include <string>
-
-#include "experiments/drone_campaigns.h"
-#include "experiments/grid_inference.h"
-#include "experiments/grid_training.h"
 #include "scenario/scenario.h"
 
 namespace ftnav {
@@ -22,16 +13,5 @@ namespace ftnav {
 /// ScenarioRegistry::instance(). Throws std::logic_error on duplicate
 /// names (a registration bug).
 void register_builtin_scenarios(ScenarioRegistry& registry);
-
-// ---- shared result formatters (scenario artifacts == these bytes) --------
-
-std::string inference_campaign_json(const InferenceCampaignConfig& config,
-                                    const InferenceCampaignResult& result);
-
-std::string mitigation_comparison_json(const MitigationComparison& result);
-
-std::string permanent_sweep_json(const PermanentTrainingSweep& sweep);
-
-std::string environment_sweep_json(const EnvironmentSweepResult& result);
 
 }  // namespace ftnav

@@ -10,12 +10,13 @@
 //     run(ScenarioContext&) -> ScenarioResult
 //
 // ScenarioContext carries the cross-cutting execution knobs every
-// campaign already understands — worker threads, streaming progress /
+// campaign understands — worker threads, streaming progress /
 // checkpoint-resume (CampaignStreamConfig), and multi-process sharding
-// (DistConfig) — so every scenario inherits the campaign, streaming,
-// and distributed machinery without scenario-specific wiring. A new
-// workload is one registration: declare params, build the campaign
-// config, run, render.
+// (DistConfig). The campaign functions in src/experiments/ take it as
+// their one execution argument, so every scenario inherits the
+// campaign, streaming, and distributed machinery without
+// scenario-specific wiring. A new workload is one registration:
+// declare params, run, render.
 //
 // Front-ends on top of the registry:
 //   - `fault_campaign list | describe <name> | run <name> --param k=v`
@@ -27,8 +28,7 @@
 // ScenarioRegistry::instance() access (builtin_scenarios.cpp) — an
 // explicit call rather than static-initializer magic, because this
 // library links statically and the linker would drop never-referenced
-// registrar objects. Out-of-tree code that *is* referenced can use
-// ScenarioRegistrar as a self-registering static.
+// registrar objects.
 
 #include <functional>
 #include <memory>
@@ -128,15 +128,6 @@ class ScenarioRegistry {
 
  private:
   std::vector<ScenarioSpec> specs_;
-};
-
-/// Self-registering helper for translation units that are referenced
-/// anyway (see the registration note in the header comment):
-///   static ScenarioRegistrar my_scenario{{.name = ..., ...}};
-struct ScenarioRegistrar {
-  explicit ScenarioRegistrar(ScenarioSpec spec) {
-    ScenarioRegistry::instance().add(std::move(spec));
-  }
 };
 
 /// Human-readable description of one scenario: summary, tags, and the

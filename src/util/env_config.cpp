@@ -96,9 +96,6 @@ const std::vector<EnvKnob>& declared_env_knobs() {
                        "submit/status/attach"},
       {"FTNAV_SIMD",
        "kernel backend: scalar|avx2|neon|auto (results identical)"},
-      {"FTNAV_TRIAL_BATCH",
-       "NN engine reuse: 0 = one engine per shard, 1 = fresh engine "
-       "per trial (results identical)"},
       {"FTNAV_PERF_DIR", "write BENCH_*.json perf records here"},
       {"FTNAV_GIT_SHA", "git sha recorded in perf records"},
       {"FTNAV_TRACE_DIR",

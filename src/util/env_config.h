@@ -53,11 +53,6 @@
 //                         bit-identical across backends; avx2 on a
 //                         machine without AVX2 is a hard error. See
 //                         src/nn/kernels/
-//   FTNAV_TRIAL_BATCH     NN inference engine reuse: 0 (default)
-//                         keeps one resident engine per campaign
-//                         shard, 1 builds a fresh engine per trial;
-//                         any other value is an error. Results
-//                         identical for both values
 //   FTNAV_PERF_DIR        write BENCH_<name>.json perf-trajectory
 //                         records (trials/sec, wall clock, backend,
 //                         git sha) into this directory; consumed by

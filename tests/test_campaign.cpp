@@ -23,6 +23,7 @@
 #include "experiments/grid_training.h"
 #include "obs/shard_timing.h"
 #include "obs/trace.h"
+#include "scenario/scenario.h"
 #include "util/env_config.h"
 #include "util/histogram.h"
 
@@ -294,7 +295,13 @@ TEST(WorkerPoolTest, FailingTaskIsRethrownOnTheCaller) {
 
 // ---- thread-count invariance of the ported experiment drivers ----------
 
-DroneInferenceCampaignConfig tiny_drone_campaign(int threads) {
+ScenarioContext with_threads(int threads) {
+  ScenarioContext context;
+  context.threads = threads;
+  return context;
+}
+
+DroneInferenceCampaignConfig tiny_drone_campaign() {
   DroneInferenceCampaignConfig config;
   config.policy.preset = C3F2Preset::kFast;
   config.policy.imitation_episodes = 2;
@@ -305,15 +312,14 @@ DroneInferenceCampaignConfig tiny_drone_campaign(int threads) {
   config.bers = {0.0, 1e-2};
   config.repeats = 2;
   config.seed = 5;
-  config.threads = threads;
   return config;
 }
 
 TEST(CampaignDeterminism, DroneInferenceSweepMatchesAcrossThreadCounts) {
   const EnvironmentSweepResult serial =
-      run_environment_sweep(tiny_drone_campaign(1));
-  const EnvironmentSweepResult parallel =
-      run_environment_sweep(tiny_drone_campaign(parallel_threads()));
+      run_environment_sweep(tiny_drone_campaign(), with_threads(1));
+  const EnvironmentSweepResult parallel = run_environment_sweep(
+      tiny_drone_campaign(), with_threads(parallel_threads()));
   ASSERT_EQ(serial.msf.size(), parallel.msf.size());
   for (std::size_t env = 0; env < serial.msf.size(); ++env)
     EXPECT_EQ(serial.msf[env], parallel.msf[env]);  // bit-identical MSF
@@ -333,12 +339,10 @@ TEST(CampaignDeterminism, DroneTrainingHeatmapIsByteIdentical) {
   config.eval_repeats = 1;
   config.seed = 13;
 
-  config.threads = 1;
-  const DroneTrainingCampaignResult serial =
-      run_drone_training_campaign(DroneWorld::indoor_long(), config);
-  config.threads = parallel_threads();
-  const DroneTrainingCampaignResult parallel =
-      run_drone_training_campaign(DroneWorld::indoor_long(), config);
+  const DroneTrainingCampaignResult serial = run_drone_training_campaign(
+      DroneWorld::indoor_long(), config, with_threads(1));
+  const DroneTrainingCampaignResult parallel = run_drone_training_campaign(
+      DroneWorld::indoor_long(), config, with_threads(parallel_threads()));
 
   EXPECT_EQ(serial.transient.to_csv(9), parallel.transient.to_csv(9));
   EXPECT_EQ(serial.stuck_at_0, parallel.stuck_at_0);
@@ -355,10 +359,10 @@ TEST(CampaignDeterminism, GridInferenceCampaignMatchesAcrossThreadCounts) {
   config.seed = 7;
   config.mitigated = true;
 
-  config.threads = 1;
-  const InferenceCampaignResult serial = run_inference_campaign(config);
-  config.threads = parallel_threads();
-  const InferenceCampaignResult parallel = run_inference_campaign(config);
+  const InferenceCampaignResult serial =
+      run_inference_campaign(config, with_threads(1));
+  const InferenceCampaignResult parallel =
+      run_inference_campaign(config, with_threads(parallel_threads()));
 
   ASSERT_EQ(serial.success_by_mode.size(), parallel.success_by_mode.size());
   for (std::size_t mode = 0; mode < serial.success_by_mode.size(); ++mode)
@@ -373,10 +377,10 @@ TEST(CampaignDeterminism, TrainingHeatmapMatchesAcrossThreadCounts) {
   config.injection_episodes = {0, 60, 110};
   config.repeats = 2;
 
-  config.threads = 1;
-  const HeatmapGrid serial = run_transient_training_heatmap(config);
-  config.threads = parallel_threads();
-  const HeatmapGrid parallel = run_transient_training_heatmap(config);
+  const HeatmapGrid serial =
+      run_transient_training_heatmap(config, with_threads(1));
+  const HeatmapGrid parallel =
+      run_transient_training_heatmap(config, with_threads(parallel_threads()));
   EXPECT_EQ(serial.to_csv(9), parallel.to_csv(9));
 }
 

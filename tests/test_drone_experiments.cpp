@@ -4,16 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <span>
-#include <sstream>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "experiments/drone_campaigns.h"
 #include "nn/kernels/kernels.h"
+#include "scenario/scenario.h"
 #include "util/binary_io.h"
 
 namespace ftnav {
@@ -110,7 +106,8 @@ TEST(DronePolicy, QuantizedEngineMsfTracksFloatMsf) {
 
 TEST(DroneCampaign, EnvironmentSweepCoversBothWorlds) {
   DroneInferenceCampaignConfig config = tiny_campaign();
-  const EnvironmentSweepResult result = run_environment_sweep(config);
+  const EnvironmentSweepResult result =
+      run_environment_sweep(config, ScenarioContext{});
   ASSERT_EQ(result.environments.size(), 2u);
   EXPECT_EQ(result.environments[0], "indoor-long");
   EXPECT_EQ(result.environments[1], "indoor-vanleer");
@@ -123,7 +120,7 @@ TEST(DroneCampaign, EnvironmentSweepCoversBothWorlds) {
 TEST(DroneCampaign, LocationSweepHasFourLocations) {
   const DroneWorld world = DroneWorld::indoor_long();
   const LocationSweepResult result =
-      run_location_sweep(world, tiny_campaign());
+      run_location_sweep(world, tiny_campaign(), ScenarioContext{});
   ASSERT_EQ(result.msf.size(), 4u);
   for (const auto& row : result.msf) EXPECT_EQ(row.size(), 2u);
 }
@@ -137,7 +134,8 @@ TEST(DroneCampaign, LocationNames) {
 
 TEST(DroneCampaign, LayerSweepCoversC3F2) {
   const DroneWorld world = DroneWorld::indoor_long();
-  const LayerSweepResult result = run_layer_sweep(world, tiny_campaign());
+  const LayerSweepResult result =
+      run_layer_sweep(world, tiny_campaign(), ScenarioContext{});
   ASSERT_EQ(result.layers.size(), kC3F2ParameteredLayers);
   EXPECT_EQ(result.layers.front(), "Conv1");
   EXPECT_EQ(result.layers.back(), "FC2");
@@ -147,7 +145,7 @@ TEST(DroneCampaign, LayerSweepCoversC3F2) {
 TEST(DroneCampaign, DataTypeSweepUsesPaperFormats) {
   const DroneWorld world = DroneWorld::indoor_long();
   const DataTypeSweepResult result =
-      run_data_type_sweep(world, tiny_campaign());
+      run_data_type_sweep(world, tiny_campaign(), ScenarioContext{});
   ASSERT_EQ(result.formats.size(), 3u);
   EXPECT_EQ(result.formats[0], "Q(1,4,11)sm");
   EXPECT_EQ(result.formats[2], "Q(1,10,5)sm");
@@ -155,93 +153,13 @@ TEST(DroneCampaign, DataTypeSweepUsesPaperFormats) {
 
 TEST(DroneCampaign, MitigationComparisonPopulatesBothArms) {
   const DroneWorld world = DroneWorld::indoor_long();
-  const DroneMitigationResult result =
-      run_drone_mitigation_comparison(world, tiny_campaign());
+  const DroneMitigationResult result = run_drone_mitigation_comparison(
+      world, tiny_campaign(), ScenarioContext{});
   ASSERT_EQ(result.baseline_msf.size(), 2u);
   ASSERT_EQ(result.mitigated_msf.size(), 2u);
   // At BER 0 both arms fly; values are distances, not percentages.
   EXPECT_GT(result.baseline_msf[0], 0.0);
   EXPECT_GT(result.mitigated_msf[0], 0.0);
-}
-
-// ---- Residency bit-identity (the trial_batch contract) -------------------
-//
-// The sweep drivers cache engines inside each shard (nn/engine_slot.h):
-// trial_batch 0 keeps one resident engine per row configuration, 1
-// builds a fresh engine per cell. reset_faults() restores the golden
-// word image at the top of every rollout, so no fault state may leak
-// between trials: results, detector counts, and checkpoint bytes must
-// all be identical for both settings.
-
-TEST(DroneCampaign, TrialBatchSettingsAreBitIdentical) {
-  const DroneWorld world = DroneWorld::indoor_long();
-  DroneInferenceCampaignConfig config = tiny_campaign();
-  config.trial_batch = 1;  // fresh engine per sweep cell
-  const LocationSweepResult fresh = run_location_sweep(world, config);
-  config.trial_batch = 0;
-  const LocationSweepResult resident = run_location_sweep(world, config);
-  EXPECT_EQ(resident.msf, fresh.msf);
-}
-
-TEST(DroneCampaign, TrialBatchRejectsValuesOtherThanZeroAndOne) {
-  const DroneWorld world = DroneWorld::indoor_long();
-  DroneInferenceCampaignConfig config = tiny_campaign();
-  config.trial_batch = 7;
-  try {
-    (void)run_location_sweep(world, config);
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& error) {
-    const std::string message = error.what();
-    EXPECT_NE(message.find("7"), std::string::npos) << message;
-    EXPECT_NE(message.find("0 ("), std::string::npos) << message;
-    EXPECT_NE(message.find("1 ("), std::string::npos) << message;
-  }
-}
-
-TEST(DroneCampaign, MitigationDetectionsSurviveResidency) {
-  // The mitigated arm reads the engine's detector counter as a
-  // per-rollout delta; a resident engine whose counter accumulates
-  // across trials must report the same counts as a fresh one.
-  const DroneWorld world = DroneWorld::indoor_long();
-  DroneInferenceCampaignConfig config = tiny_campaign();
-  config.trial_batch = 1;
-  const DroneMitigationResult fresh =
-      run_drone_mitigation_comparison(world, config);
-  config.trial_batch = 0;
-  const DroneMitigationResult resident =
-      run_drone_mitigation_comparison(world, config);
-  EXPECT_EQ(resident.baseline_msf, fresh.baseline_msf);
-  EXPECT_EQ(resident.mitigated_msf, fresh.mitigated_msf);
-  EXPECT_EQ(resident.detections, fresh.detections);
-}
-
-TEST(DroneCampaign, TrialBatchCheckpointBytesAreIdentical) {
-  // Engine residency lives in per-shard scratch, never in the merged
-  // accumulator, so the final checkpoint a streamed sweep leaves on
-  // disk must be byte-for-byte independent of trial_batch.
-  const DroneWorld world = DroneWorld::indoor_long();
-  std::vector<std::string> checkpoints;
-  for (int trial_batch : {1, 0}) {
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         ("ftnav_test_drone_batch_" + std::to_string(trial_batch) + ".ckpt"))
-            .string();
-    std::filesystem::remove(path);
-    DroneInferenceCampaignConfig config = tiny_campaign();
-    config.trial_batch = trial_batch;
-    config.stream.checkpoint_path = path;
-    const LocationSweepResult result = run_location_sweep(world, config);
-    ASSERT_EQ(result.msf.size(), 4u);
-    std::ifstream file(path, std::ios::binary);
-    ASSERT_TRUE(file) << "no checkpoint at " << path;
-    std::ostringstream bytes;
-    bytes << file.rdbuf();
-    checkpoints.push_back(bytes.str());
-    std::filesystem::remove(path);
-  }
-  ASSERT_EQ(checkpoints.size(), 2u);
-  EXPECT_FALSE(checkpoints[0].empty());
-  EXPECT_EQ(checkpoints[0], checkpoints[1]);
 }
 
 TEST(DroneTrainingCampaign, HeatmapAndPermanentRows) {
@@ -254,7 +172,7 @@ TEST(DroneTrainingCampaign, HeatmapAndPermanentRows) {
   config.seed = 13;
   const DroneWorld world = DroneWorld::indoor_long();
   const DroneTrainingCampaignResult result =
-      run_drone_training_campaign(world, config);
+      run_drone_training_campaign(world, config, ScenarioContext{});
   EXPECT_EQ(result.transient.rows(), 2u);
   EXPECT_EQ(result.transient.cols(), 2u);
   EXPECT_EQ(result.stuck_at_0.size(), 2u);

@@ -130,21 +130,21 @@ const std::vector<GoldenCase>& golden_cases() {
         {"repeats", "3"}, {"seed", "5"}},
        "39a512fbe9211524",
        "646e24a478bfb8ae",
-       {}},
+       {{"ck", "d07b9b63fae39323"}}},
       {"grid_convergence_transient",
        "grid-convergence-transient",
        {{"bers", "0,0.01"}, {"fault-episode", "150"},
         {"max-extra-episodes", "150"}, {"repeats", "3"}, {"seed", "5"}},
        "878e7929045c2350",
        "9d33bd5e768420fa",
-       {}},
+       {{"ck", "5e8d507a2a1b0211"}}},
       {"grid_exploration_study",
        "grid-exploration-study",
        {{"bers", "0,0.01"}, {"episodes", "600"}, {"repeats", "2"},
         {"seed", "5"}},
        "4c03b1e6bda68041",
        "82858eba67f25be5",
-       {}},
+       {{"ck", "28dd84e5246bcc09"}}},
       {"grid_inference_tabular",
        "grid-inference",
        {{"policy", "tabular"}, {"mitigate", "true"},

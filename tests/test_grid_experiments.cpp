@@ -5,6 +5,7 @@
 
 #include "experiments/grid_inference.h"
 #include "experiments/grid_training.h"
+#include "scenario/scenario.h"
 
 namespace ftnav {
 namespace {
@@ -122,7 +123,8 @@ TEST(GridHeatmap, ShapeMatchesAxes) {
   config.bers = {0.0, 0.01};
   config.injection_episodes = {0, 60, 110};
   config.repeats = 2;
-  const HeatmapGrid grid = run_transient_training_heatmap(config);
+  const HeatmapGrid grid =
+      run_transient_training_heatmap(config, ScenarioContext{});
   EXPECT_EQ(grid.rows(), 2u);
   EXPECT_EQ(grid.cols(), 3u);
   for (std::size_t r = 0; r < grid.rows(); ++r)
@@ -138,7 +140,8 @@ TEST(GridPermanentSweep, ReturnsOneValuePerBer) {
   config.episodes = 150;
   config.bers = {0.001, 0.005, 0.01};
   config.repeats = 2;
-  const PermanentTrainingSweep sweep = run_permanent_training_sweep(config);
+  const PermanentTrainingSweep sweep =
+      run_permanent_training_sweep(config, ScenarioContext{});
   EXPECT_EQ(sweep.stuck_at_0_success.size(), 3u);
   EXPECT_EQ(sweep.stuck_at_1_success.size(), 3u);
 }
@@ -167,7 +170,8 @@ TEST(GridRewardCurves, FiveScenariosRecorded) {
 
 TEST(GridConvergence, TransientResultShape) {
   const TransientConvergenceResult result = run_transient_convergence(
-      GridPolicyKind::kTabular, {0.002, 0.01}, 600, 400, 3, 21);
+      GridPolicyKind::kTabular, {0.002, 0.01}, 600, 400, 3, 21,
+      ScenarioContext{});
   ASSERT_EQ(result.mean_episodes_to_converge.size(), 2u);
   EXPECT_GE(result.mean_episodes_to_converge[0], 0.0);
   EXPECT_LE(result.failure_fraction[1], 1.0);
@@ -175,14 +179,15 @@ TEST(GridConvergence, TransientResultShape) {
 
 TEST(GridConvergence, PermanentResultShape) {
   const PermanentConvergenceResult result = run_permanent_convergence(
-      GridPolicyKind::kTabular, {0.002}, 150, 300, 150, 2, 23);
+      GridPolicyKind::kTabular, {0.002}, 150, 300, 150, 2, 23,
+      ScenarioContext{});
   EXPECT_EQ(result.sa0_early.size(), 1u);
   EXPECT_EQ(result.sa1_late.size(), 1u);
 }
 
 TEST(GridExplorationStudy, CoversAllFaultTypes) {
-  const auto rows = run_exploration_study(GridPolicyKind::kTabular,
-                                          {0.005}, 300, 2, 25);
+  const auto rows = run_exploration_study(
+      GridPolicyKind::kTabular, {0.005}, 300, 2, 25, ScenarioContext{});
   ASSERT_EQ(rows.size(), 3u);  // transient, SA0, SA1
   EXPECT_EQ(rows[0].type, FaultType::kTransientFlip);
   EXPECT_LT(rows[0].mean_recovery_episodes, 301.0);
@@ -194,7 +199,8 @@ TEST(GridExplorationStudy, CoversAllFaultTypes) {
 TEST(GridInference, RejectsNonPositiveRepeats) {
   InferenceCampaignConfig config;
   config.repeats = 0;
-  EXPECT_THROW(run_inference_campaign(config), std::invalid_argument);
+  EXPECT_THROW(run_inference_campaign(config, ScenarioContext{}),
+               std::invalid_argument);
 }
 
 TEST(GridInference, TabularCampaignShapeAndBaseline) {
@@ -204,7 +210,8 @@ TEST(GridInference, TabularCampaignShapeAndBaseline) {
   config.bers = {0.0, 0.02};
   config.repeats = 20;
   config.seed = 7;
-  const InferenceCampaignResult result = run_inference_campaign(config);
+  const InferenceCampaignResult result =
+      run_inference_campaign(config, ScenarioContext{});
   ASSERT_EQ(result.success_by_mode.size(), 4u);
   // BER=0 column: every mode must match the fault-free success.
   for (const auto& mode : result.success_by_mode)
@@ -220,7 +227,8 @@ TEST(GridInference, NnCampaignRuns) {
   config.bers = {0.0, 0.01};
   config.repeats = 10;
   config.seed = 11;
-  const InferenceCampaignResult result = run_inference_campaign(config);
+  const InferenceCampaignResult result =
+      run_inference_campaign(config, ScenarioContext{});
   for (const auto& mode : result.success_by_mode) {
     ASSERT_EQ(mode.size(), 2u);
     EXPECT_GE(mode[1], 0.0);
@@ -236,7 +244,7 @@ TEST(GridInference, MitigationComparisonImprovesOrMatches) {
   config.repeats = 25;
   config.seed = 13;
   const MitigationComparison comparison =
-      run_inference_mitigation_comparison(config);
+      run_inference_mitigation_comparison(config, ScenarioContext{});
   ASSERT_EQ(comparison.baseline_success.size(), 1u);
   EXPECT_GE(comparison.mitigated_success[0] + 1e-9,
             comparison.baseline_success[0]);

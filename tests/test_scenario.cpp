@@ -1,10 +1,9 @@
 // Tests for the scenario registry (src/scenario/): the ParamSet typed
 // parameter system (types, validation, source precedence, canonical
-// round-trip), the registry itself, and the core API contract — running
-// a campaign through the registry produces byte-identical JSON and
-// checkpoint output to calling the experiment driver directly, single
-// process and under two distributed workers with a mid-campaign kill
-// and resume.
+// round-trip), the registry itself, and the execution contract — a
+// scenario interrupted and resumed, or run by two distributed workers
+// with a mid-campaign kill, produces the bytes of an uninterrupted
+// single-process run. tests/test_golden.cpp pins those bytes.
 
 #include <gtest/gtest.h>
 
@@ -17,14 +16,9 @@
 #include <vector>
 
 #include "campaign/streaming.h"
-#include "scenario/builtin_scenarios.h"
 #include "scenario/param_set.h"
 #include "scenario/scenario.h"
 #include "util/env_config.h"
-
-// The registry contract is *defined* against the deprecated direct
-// entry points; this test calls them on purpose.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace ftnav {
 namespace {
@@ -309,7 +303,7 @@ TEST(Registry, DuplicateRegistrationThrows) {
   EXPECT_THROW(registry.add(spec), std::logic_error);
 }
 
-// ---- registry path == direct driver path ----------------------------------
+// ---- execution contract ---------------------------------------------------
 
 struct ScratchDir {
   std::string path;
@@ -352,92 +346,32 @@ const std::vector<std::pair<std::string, std::string>> kInferenceKv = {
     {"bers", "0.005"},     {"repeats", "8"},
     {"seed", "11"}};
 
-InferenceCampaignConfig small_inference_config() {
-  InferenceCampaignConfig config;
-  config.kind = GridPolicyKind::kTabular;
-  config.train_episodes = 200;
-  config.bers = {0.005};
-  config.repeats = 8;
-  config.seed = 11;
-  config.threads = 2;
-  return config;
-}
-
-TEST(RegistryContract, GridInferenceMatchesDirectCallByteForByte) {
-  ScratchDir scratch("inference");
-  // Direct driver call with a checkpoint.
-  InferenceCampaignConfig config = small_inference_config();
-  config.stream.checkpoint_path = scratch.path + "/direct.ckpt";
-  const InferenceCampaignResult direct = run_inference_campaign(config);
-  const std::string direct_json = inference_campaign_json(config, direct);
-
-  // Same campaign through the registry.
-  ScenarioContext context;
-  context.threads = 2;
-  context.stream.checkpoint_path = scratch.path + "/registry.ckpt";
-  const ScenarioResult result =
-      run_registry("grid-inference", kInferenceKv, context);
-
-  ASSERT_EQ(result.artifacts.size(), 1u);
-  EXPECT_EQ(result.artifacts[0].first, "campaign");
-  EXPECT_EQ(result.artifacts[0].second, direct_json);
-  EXPECT_EQ(read_file(scratch.path + "/registry.ckpt"),
-            read_file(scratch.path + "/direct.ckpt"));
-}
-
-TrainingHeatmapConfig small_training_config() {
-  TrainingHeatmapConfig config;
-  config.kind = GridPolicyKind::kTabular;
-  config.episodes = 150;
-  config.bers = {0.005, 0.01};
-  config.injection_episodes = {0, 75};
-  config.repeats = 2;
-  config.seed = 7;
-  config.threads = 2;
-  return config;
-}
-
-const std::vector<std::pair<std::string, std::string>> kTrainingKv = {
-    {"policy", "tabular"},          {"episodes", "150"},
-    {"bers", "0.005,0.01"},         {"injection-episodes", "0,75"},
-    {"repeats", "2"},               {"seed", "7"}};
-
-TEST(RegistryContract, TrainingTransientMatchesDirectCallByteForByte) {
-  ScratchDir scratch("transient");
-  TrainingHeatmapConfig config = small_training_config();
-  config.stream.checkpoint_path = scratch.path + "/direct.ckpt";
-  const HeatmapGrid direct = run_transient_training_heatmap(config);
+TEST(RegistryContract, InterruptedConvergenceResumesByteIdentically) {
+  ScratchDir scratch("convergence");
+  const std::vector<std::pair<std::string, std::string>> kv = {
+      {"bers", "0,0.01"}, {"fault-episode", "150"},
+      {"max-extra-episodes", "150"}, {"repeats", "3"}, {"seed", "5"}};
+  ScenarioContext reference_context;
+  reference_context.threads = 2;
+  reference_context.stream.checkpoint_path = scratch.path + "/reference.ckpt";
+  const ScenarioResult reference =
+      run_registry("grid-convergence-transient", kv, reference_context);
 
   ScenarioContext context;
   context.threads = 2;
-  context.stream.checkpoint_path = scratch.path + "/registry.ckpt";
-  const ScenarioResult result =
-      run_registry("grid-training-transient", kTrainingKv, context);
+  context.stream.checkpoint_path = scratch.path + "/resumed.ckpt";
+  context.stream.stop_after_shards = 1;
+  EXPECT_THROW(run_registry("grid-convergence-transient", kv, context),
+               CampaignInterrupted);
+  context.stream.stop_after_shards = 0;
+  context.stream.resume = true;
+  const ScenarioResult resumed =
+      run_registry("grid-convergence-transient", kv, context);
 
-  ASSERT_EQ(result.artifacts.size(), 1u);
-  EXPECT_EQ(result.artifacts[0].second, direct.to_json(6));
-  // The driver checkpoints the transient grid to "<path>.transient".
-  EXPECT_EQ(read_file(scratch.path + "/registry.ckpt.transient"),
-            read_file(scratch.path + "/direct.ckpt.transient"));
-}
-
-TEST(RegistryContract, TrainingPermanentMatchesDirectCallByteForByte) {
-  ScratchDir scratch("permanent");
-  TrainingHeatmapConfig config = small_training_config();
-  config.stream.checkpoint_path = scratch.path + "/direct.ckpt";
-  const PermanentTrainingSweep direct =
-      run_permanent_training_sweep(config);
-
-  ScenarioContext context;
-  context.threads = 2;
-  context.stream.checkpoint_path = scratch.path + "/registry.ckpt";
-  const ScenarioResult result =
-      run_registry("grid-training-permanent", kTrainingKv, context);
-
-  ASSERT_EQ(result.artifacts.size(), 1u);
-  EXPECT_EQ(result.artifacts[0].second, permanent_sweep_json(direct));
-  EXPECT_EQ(read_file(scratch.path + "/registry.ckpt.permanent"),
-            read_file(scratch.path + "/direct.ckpt.permanent"));
+  EXPECT_EQ(resumed.text, reference.text);
+  EXPECT_EQ(resumed.to_json(), reference.to_json());
+  EXPECT_EQ(read_file(scratch.path + "/resumed.ckpt"),
+            read_file(scratch.path + "/reference.ckpt"));
 }
 
 // ---- distributed: 2 workers, mid-campaign kill, resume, merge -------------

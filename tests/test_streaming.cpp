@@ -17,6 +17,7 @@
 #include "campaign/streaming.h"
 #include "campaign/worker_pool.h"
 #include "experiments/grid_inference.h"
+#include "scenario/scenario.h"
 #include "util/histogram.h"
 #include "util/table.h"
 
@@ -395,19 +396,19 @@ TEST(CheckpointResume, ChangedBerAxisRefusesToResume) {
   config.bers = {0.005};
   config.repeats = 6;
   config.seed = 33;
-  config.threads = 2;
 
   ScratchFile scratch("resume_ber_mismatch");
-  InferenceCampaignConfig interrupted = config;
-  interrupted.stream.checkpoint_path = scratch.path;
-  interrupted.stream.stop_after_shards = 2;
-  EXPECT_THROW(run_inference_campaign(interrupted), CampaignInterrupted);
+  ScenarioContext context;
+  context.threads = 2;
+  context.stream.checkpoint_path = scratch.path;
+  context.stream.stop_after_shards = 2;
+  EXPECT_THROW(run_inference_campaign(config, context), CampaignInterrupted);
 
   InferenceCampaignConfig resumed = config;
   resumed.bers = {0.010};  // same count, different fault pressure
-  resumed.stream.checkpoint_path = scratch.path;
-  resumed.stream.resume = true;
-  EXPECT_THROW(run_inference_campaign(resumed), std::runtime_error);
+  context.stream.stop_after_shards = 0;
+  context.stream.resume = true;
+  EXPECT_THROW(run_inference_campaign(resumed, context), std::runtime_error);
 }
 
 TEST(CheckpointResume, InferenceCampaignResumesByteIdentically) {
@@ -418,21 +419,21 @@ TEST(CheckpointResume, InferenceCampaignResumesByteIdentically) {
   config.repeats = 8;
   config.seed = 21;
   config.mitigated = true;
-  config.threads = 2;
+  ScenarioContext context;
+  context.threads = 2;
   const InferenceCampaignResult uninterrupted =
-      run_inference_campaign(config);
+      run_inference_campaign(config, context);
 
   ScratchFile scratch("resume_driver");
-  InferenceCampaignConfig interrupted = config;
-  interrupted.stream.checkpoint_path = scratch.path;
-  interrupted.stream.stop_after_shards = 9;
-  EXPECT_THROW(run_inference_campaign(interrupted), CampaignInterrupted);
+  context.stream.checkpoint_path = scratch.path;
+  context.stream.stop_after_shards = 9;
+  EXPECT_THROW(run_inference_campaign(config, context), CampaignInterrupted);
 
-  InferenceCampaignConfig resume = config;
-  resume.threads = 4;
-  resume.stream.checkpoint_path = scratch.path;
-  resume.stream.resume = true;
-  const InferenceCampaignResult resumed = run_inference_campaign(resume);
+  context.threads = 4;
+  context.stream.stop_after_shards = 0;
+  context.stream.resume = true;
+  const InferenceCampaignResult resumed =
+      run_inference_campaign(config, context);
 
   ASSERT_EQ(resumed.success_by_mode.size(),
             uninterrupted.success_by_mode.size());
