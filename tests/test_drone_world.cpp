@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "envs/drone_camera.h"
 #include "envs/drone_world.h"
+#include "util/binary_io.h"
 
 namespace ftnav {
 namespace {
@@ -142,6 +147,62 @@ TEST(Camera, ImageIsDeterministic) {
   const Tensor a = render_camera(world, world.start_pose(), config);
   const Tensor b = render_camera(world, world.start_pose(), config);
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+}
+
+// Pins the exact float bytes render_camera produces: FNV-1a over the
+// rendered images of a fixed pose set, per world and image size. The
+// poses cover a camera inside an obstacle (every depth 0, clamped to
+// 0.05), one facing a domain wall from 0.2 m, headings on both sides
+// of +-pi, and the start pose. Any change to the shading arithmetic,
+// its evaluation order or the pixel layout changes a digest.
+TEST(Camera, RenderedBytesArePinned) {
+  struct Case {
+    const char* world;
+    int image_hw;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"indoor-long", 39, 0x6efaff9ac1765974ULL},
+      {"indoor-long", 103, 0x4241199c30683ffbULL},
+      {"indoor-vanleer", 39, 0x170feaaab80d4ba6ULL},
+      {"indoor-vanleer", 103, 0xf9763f45be9ed405ULL},
+      {"random-clutter", 39, 0xe9002052eb372e48ULL},
+      {"random-clutter", 103, 0x03be30ecd2827eefULL},
+  };
+  const auto make_world = [](const std::string& name) {
+    if (name == "indoor-long") return DroneWorld::indoor_long();
+    if (name == "indoor-vanleer") return DroneWorld::indoor_vanleer();
+    return DroneWorld::random_clutter(24.0, 18.0, 9, 4242);
+  };
+  for (const Case& c : cases) {
+    const DroneWorld world = make_world(c.world);
+    ASSERT_FALSE(world.obstacles().empty());
+    const Box& box = world.obstacles().front();
+    const Pose2D start = world.start_pose();
+    const std::vector<Pose2D> poses = {
+        start,
+        {(box.x_min + box.x_max) / 2, (box.y_min + box.y_max) / 2, 0.3},
+        {0.2, world.height() - 1.0, kPi - 1e-9},
+        {world.width() - 0.2, 1.0, 0.0},
+        {start.x, start.y, kPi},
+        {start.x, start.y, -kPi + 1e-6},
+        {start.x, start.y, -kPi},
+    };
+    CameraConfig config;
+    config.image_hw = c.image_hw;
+    std::string bytes;
+    for (const Pose2D& pose : poses) {
+      const Tensor image = render_camera(world, pose, config);
+      bytes.append(reinterpret_cast<const char*>(image.data()),
+                   image.size() * sizeof(float));
+    }
+    const std::uint64_t digest = io::fnv1a({bytes.data(), bytes.size()});
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016llxULL",
+                  static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, c.digest)
+        << c.world << " image_hw=" << c.image_hw << ": got " << hex;
+  }
 }
 
 }  // namespace

@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/fault_model.h"
+#include "util/binary_io.h"
 
 namespace ftnav {
 namespace {
@@ -136,6 +140,53 @@ TEST(FaultModel, SamplingCoversWholeBuffer) {
   std::set<std::uint32_t> words;
   for (const FaultSite& s : map.sites()) words.insert(s.word_index);
   EXPECT_EQ(words.size(), 16u);
+}
+
+// Pins the exact (word, bit) site sequence sample_count draws, in draw
+// order: FNV-1a over each site's little-endian word index and bit. The
+// cases cover an empty map, a saturated map (fault_bits == positions)
+// at 1- and 32-bit words, and sparse and dense draws in between, so
+// any change to the draw sequence, the duplicate rejection or the
+// position-to-site split changes a digest.
+TEST(FaultModel, SampledSiteSequencesArePinned) {
+  struct Case {
+    std::size_t fault_bits, words;
+    int bits_per_word;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {0, 10, 8, 1, 0xcbf29ce484222325ULL},
+      {1, 1, 1, 2, 0xe4bc4fd9252be94fULL},
+      {37, 100, 1, 3, 0x12de51904f34088aULL},
+      {100, 100, 1, 4, 0xc6c3d56afe8c0163ULL},
+      {500, 64, 8, 5, 0x8fc4ea4a99b09a12ULL},
+      {64, 16, 4, 6, 0x7688b1e99de17689ULL},
+      {1600, 50, 32, 7, 0x82ff627359cb0655ULL},
+      {1000, 4096, 32, 8, 0x72d8d7a14b4e9eeaULL},
+      {5538, 34609, 16, 9, 0x5a7c657f59f1dbfaULL},
+      {40, 5044, 8, 10, 0x5e47a17823904fd9ULL},
+  };
+  for (const Case& c : cases) {
+    Rng rng(c.seed);
+    const FaultMap map = FaultMap::sample_count(
+        FaultType::kTransientFlip, c.fault_bits, c.words, c.bits_per_word,
+        rng);
+    ASSERT_EQ(map.size(), c.fault_bits);
+    std::string bytes;
+    for (const FaultSite& site : map.sites()) {
+      for (int shift = 0; shift < 32; shift += 8)
+        bytes.push_back(static_cast<char>((site.word_index >> shift) & 0xff));
+      bytes.push_back(static_cast<char>(site.bit));
+    }
+    const std::uint64_t digest = io::fnv1a({bytes.data(), bytes.size()});
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016llxULL",
+                  static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, c.digest)
+        << "fault_bits=" << c.fault_bits << " words=" << c.words
+        << " bits_per_word=" << c.bits_per_word << ": got " << hex;
+  }
 }
 
 }  // namespace
