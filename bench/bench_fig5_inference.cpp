@@ -14,7 +14,9 @@ int main(int, char** argv) {
   using namespace ftnav;
   using namespace ftnav::benchharness;
   BenchConfig config = bench_config_from_env();
-  PerfRecorder perf(config, "fig5_inference");
+  PerfRecorder perf(config, "fig5_inference",
+                    "FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 "
+                    "FTNAV_REPEATS=600 ./build/bench/bench_fig5_inference");
   // Coordinator: spawn FTNAV_WORKERS workers and drain the queue;
   // workers: run leased shards silently and exit.
   const DistConfig dist = bench_dist(argv[0], config);

@@ -2,7 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
+#include <vector>
 
 namespace ftnav {
 
@@ -56,17 +56,29 @@ FaultMap FaultMap::sample_count(FaultType type, std::size_t fault_bits,
   if (fault_bits > total)
     throw std::invalid_argument("FaultMap: more fault bits than positions");
 
+  // Duplicate draws are rejected against a dedup bitmap over all
+  // `total` positions (bits_per_word / 8 bytes per word: never larger
+  // than the buffer it models). It is per thread and reused: it grows
+  // to the largest buffer sampled so far, and only the words this call
+  // set are cleared again, so a call costs O(draws) after the first.
+  thread_local std::vector<std::uint64_t> chosen;
+  const std::size_t bitmap_words = (total + 63) / 64;
+  if (chosen.size() < bitmap_words) chosen.resize(bitmap_words, 0);
+
+  const auto bpw = static_cast<std::size_t>(bits_per_word);
   std::vector<FaultSite> sites;
   sites.reserve(fault_bits);
-  std::unordered_set<std::uint64_t> chosen;
-  chosen.reserve(fault_bits * 2);
-  while (chosen.size() < fault_bits) {
+  while (sites.size() < fault_bits) {
     const std::uint64_t pos = rng.below(total);
-    if (!chosen.insert(pos).second) continue;
-    sites.push_back(FaultSite{
-        static_cast<std::uint32_t>(pos / static_cast<std::size_t>(bits_per_word)),
-        static_cast<std::uint8_t>(pos % static_cast<std::size_t>(bits_per_word))});
+    std::uint64_t& word = chosen[pos / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (pos % 64);
+    if ((word & bit) != 0) continue;
+    word |= bit;
+    sites.push_back(FaultSite{static_cast<std::uint32_t>(pos / bpw),
+                              static_cast<std::uint8_t>(pos % bpw)});
   }
+  for (const FaultSite& site : sites)
+    chosen[(site.word_index * bpw + site.bit) / 64] = 0;
   return FaultMap(type, std::move(sites));
 }
 

@@ -101,8 +101,4 @@ void enforce_stuck_values(std::span<float> values, const QFormat& format,
     values[i] = static_cast<float>(format.decode(words[i]));
 }
 
-void quantize_values(std::span<float> values, const QFormat& format) noexcept {
-  for (float& v : values) v = format.quantize(v);
-}
-
 }  // namespace ftnav

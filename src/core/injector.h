@@ -139,8 +139,4 @@ std::size_t inject_transient_values(std::span<float> values,
 void enforce_stuck_values(std::span<float> values, const QFormat& format,
                           const StuckAtMask& mask);
 
-/// Round-trips every value through the fixed-point format (quantization
-/// without faults); models writing a float tensor into a clean buffer.
-void quantize_values(std::span<float> values, const QFormat& format) noexcept;
-
 }  // namespace ftnav

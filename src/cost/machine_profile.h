@@ -38,8 +38,9 @@ struct MachineProfile {
   /// Gridworld decision steps per second (tabular bookkeeping, RNG,
   /// reward plumbing -- everything per-step that is not NN math).
   double grid_step_rate = 60e6;
-  /// Drone env steps per second excluding NN math (depth-camera
-  /// raycast render dominates).
+  /// Drone env steps per second excluding NN math. The camera's
+  /// per-column depth raycasts dominate; its shading is a per-row and
+  /// per-column table select (envs/drone_camera.h).
   double drone_step_rate = 1e6;
   /// Fixed seconds per trial (fault-pattern sampling, stats fold).
   double trial_overhead_seconds = 1e-6;

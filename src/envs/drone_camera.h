@@ -23,6 +23,17 @@ struct CameraConfig {
 };
 
 /// Renders the view from `pose` into a CHW tensor with values in [0, 1].
+///
+/// A pixel's shade depends on its row only through the elevation phi
+/// and on its column only through that column's depth, so the render
+/// builds two tables per call: per row |phi|, the wall green term
+/// 0.2 * (1 - |phi| / (vfov / 2)) and the floor (phi < 0) or ceiling
+/// colour; per column the wall band's half-angle atan2(h, d) and the
+/// wall colour. A pixel is then one compare (|phi| <= half-angle: wall)
+/// and a select, written row by row. The tables hold the same double
+/// expressions the per-pixel shading evaluated, so the output bytes
+/// equal those of a direct per-pixel evaluation
+/// (tests/test_drone_world.cpp pins them).
 Tensor render_camera(const DroneWorld& world, const Pose2D& pose,
                      const CameraConfig& config);
 

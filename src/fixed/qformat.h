@@ -81,9 +81,10 @@ class QFormat {
   /// float(decode(encode(value))) — same round-to-nearest-even,
   /// saturation, and NaN-to-zero handling — without the word
   /// pack/unpack round trip. This is the hot path of every activation
-  /// buffer write (quantize_values in core/injector.h runs it per
-  /// element of every layer output), so it stays branch-light and
-  /// inline; tests/test_qformat.cpp checks the equality exhaustively.
+  /// buffer write (the `quantize` kernel entry in nn/kernels runs it
+  /// per element of every layer output, or replays it lane by lane),
+  /// so it stays branch-light and inline; tests/test_qformat.cpp
+  /// checks the equality exhaustively.
   float quantize(float value) const noexcept {
     const double scaled = static_cast<double>(value) * scale_;
     // Round to nearest-even without a libm call: adding and removing
@@ -98,6 +99,16 @@ class QFormat {
     if (rounded > raw_max_d_) rounded = raw_max_d_;
     if (rounded < raw_min_d_) rounded = raw_min_d_;
     return static_cast<float>(rounded * inv_scale_);
+  }
+
+  /// The cached constants quantize() reads, for vector kernels that
+  /// replay it lane by lane: 2^fraction_bits, its inverse, and the
+  /// saturation bounds in raw (integer) units.
+  struct QuantizeConstants {
+    double scale, inv_scale, raw_min, raw_max;
+  };
+  QuantizeConstants quantize_constants() const noexcept {
+    return {scale_, inv_scale_, raw_min_d_, raw_max_d_};
   }
 
   /// Signed integer v such that decode(word) == v * resolution().

@@ -1,9 +1,9 @@
 // Scalar kernel backend + runtime dispatch.
 //
 // These loops are the reference implementation of every conv/dense
-// chain: the Conv2D/Dense layers (src/nn/layers.cpp) and the quantized
-// engine both run them through the dispatch table, and each SIMD
-// backend reproduces them bit for bit. This TU is compiled with
+// chain, buffer quantize and max pool: the layers (src/nn/layers.cpp)
+// and the quantized engine both run them through the dispatch table,
+// and each SIMD backend reproduces them bit for bit. This TU is compiled with
 // -ffp-contract=off (see CMakeLists.txt) so the chains stay mul+add.
 
 #include "nn/kernels/kernels.h"
@@ -137,6 +137,41 @@ void dense_input_grad_scalar(const float* dy, const float* w, float* dx,
   }
 }
 
+void quantize_scalar(float* x, std::size_t n, const QFormat& format) {
+  for (std::size_t i = 0; i < n; ++i) x[i] = format.quantize(x[i]);
+}
+
+void maxpool2d_scalar(const float* x, float* y, std::uint32_t* argmax,
+                      int channels, int in_h, int in_w, int window) {
+  const int out_h = in_h / window;
+  const int out_w = in_w / window;
+  std::size_t flat = 0;
+  for (int c = 0; c < channels; ++c) {
+    for (int oh = 0; oh < out_h; ++oh) {
+      for (int ow = 0; ow < out_w; ++ow, ++flat) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_index = 0;
+        for (int kh = 0; kh < window; ++kh) {
+          const std::size_t row =
+              (static_cast<std::size_t>(c) * in_h + oh * window + kh) *
+                  in_w +
+              static_cast<std::size_t>(ow) * window;
+          for (int kw = 0; kw < window; ++kw) {
+            const float v = x[row + kw];
+            if (v > best) {
+              best = v;
+              best_index = row + kw;
+            }
+          }
+        }
+        y[flat] = best;
+        if (argmax != nullptr)
+          argmax[flat] = static_cast<std::uint32_t>(best_index);
+      }
+    }
+  }
+}
+
 constexpr KernelOps kScalarOps{
     "scalar",
     /*dense_wants_transposed=*/false,
@@ -147,7 +182,9 @@ constexpr KernelOps kScalarOps{
     conv2d_weight_grad_scalar,
     conv2d_input_grad_scalar,
     dense_weight_grad_scalar,
-    dense_input_grad_scalar};
+    dense_input_grad_scalar,
+    quantize_scalar,
+    maxpool2d_scalar};
 
 /// active() runs on every layer forward/backward, from every campaign
 /// thread, so the pointers it reads get a cache line of their own:
@@ -231,30 +268,6 @@ void transpose(const float* w, float* wt, int rows, int cols) {
     for (int r = 0; r < rows; ++r)
       wt[static_cast<std::size_t>(c) * rows + r] =
           w[static_cast<std::size_t>(r) * cols + c];
-}
-
-void maxpool2d(const float* x, float* y, int channels, int in_h, int in_w,
-               int window) {
-  const int out_h = in_h / window;
-  const int out_w = in_w / window;
-  std::size_t flat = 0;
-  for (int c = 0; c < channels; ++c) {
-    for (int oh = 0; oh < out_h; ++oh) {
-      for (int ow = 0; ow < out_w; ++ow, ++flat) {
-        float best = -std::numeric_limits<float>::infinity();
-        for (int kh = 0; kh < window; ++kh) {
-          for (int kw = 0; kw < window; ++kw) {
-            const int ih = oh * window + kh;
-            const int iw = ow * window + kw;
-            const float v =
-                x[(static_cast<std::size_t>(c) * in_h + ih) * in_w + iw];
-            if (v > best) best = v;
-          }
-        }
-        y[flat] = best;
-      }
-    }
-  }
 }
 
 ScopedKernelBackend::ScopedKernelBackend(const KernelOps& ops)

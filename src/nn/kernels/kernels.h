@@ -1,7 +1,8 @@
 #pragma once
-// Runtime-dispatched compute kernels: the one conv/dense implementation
-// behind both the float training layers (src/nn/layers.cpp) and the
-// quantized inference engine.
+// Runtime-dispatched compute kernels: the one conv/dense/pool
+// implementation behind both the float training layers
+// (src/nn/layers.cpp) and the quantized inference engine, plus the
+// engine's quantized buffer write.
 //
 // Every forward output element is one sequential accumulation chain
 // (bias, then += w*x in a fixed order); the engine additionally
@@ -30,11 +31,26 @@
 // NaN, because 0 * inf is never formed. The SIMD backends therefore
 // vectorize only across elements that share one g (a whole weight row,
 // or all input channels of one tap), so a zero g skips every lane at
-// once. The dense backward entries of every backend are the scalar
-// ones (short contiguous rows the compiler vectorizes). The NEON
-// backend points its conv backward entries at the scalar ones too: no
-// ARM host is available to test a vectorized version on, and the
-// scalar chains are correct everywhere.
+// once.
+//
+// The quantize and max-pool entries have no chain to keep: `quantize`
+// rounds each element on its own (QFormat::quantize, replayed lane by
+// lane in double precision), and `maxpool2d` only selects existing
+// values. It compares each window in the scalar (kh, kw) order with a
+// strict `>`, so the first of equal maxima (e.g. -0.0 before +0.0)
+// wins on every backend.
+//
+// Entries per backend:
+//   entry                avx2                   neon
+//   conv2d, dense, relu  vectorized             vectorized
+//   quantize             vectorized             scalar
+//   maxpool2d            vectorized (window 2)  scalar
+//   conv2d_*_grad        vectorized             scalar
+//   dense_*_grad         scalar                 scalar
+// The dense backward rows are short and contiguous, and the compiler
+// vectorizes the scalar loops already. NEON points its other entries
+// at the scalar ones because no ARM host is available to test a
+// vectorized version on, and the scalar code is correct everywhere.
 //
 // Backend selection happens once per process from FTNAV_SIMD
 // ("scalar" | "avx2" | "neon" | "auto", default auto = the widest
@@ -45,7 +61,10 @@
 // ScopedKernelBackend to compare backends inside one process.
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+
+#include "fixed/qformat.h"
 
 namespace ftnav::kernels {
 
@@ -64,7 +83,9 @@ struct ConvShape {
 ///   dense:  w[o][i] (row-major), wt[i][o] (transposed copy, only
 ///           valid when dense_wants_transposed; pass nullptr
 ///           otherwise), bias[o];
-///   relu:   in place;
+///   relu, quantize: in place;
+///   maxpool2d: x in CHW, y the [c][in_h/window][in_w/window] window
+///           maxima, argmax (nullable) each output's flat index into x;
 ///   conv2d_weight_grad: dy in CHW (the output gradient), x the
 ///           forward input, dw/db laid out like w/bias;
 ///   conv2d_input_grad: dy, w as above, dx laid out like x;
@@ -100,6 +121,15 @@ struct KernelOps {
   /// dx += dL/dx for one dense call.
   void (*dense_input_grad)(const float* dy, const float* w, float* dx,
                            int in_f, int out_f);
+  /// x[i] = format.quantize(x[i]): a write into a quantized buffer.
+  void (*quantize)(float* x, std::size_t n, const QFormat& format);
+  /// Non-overlapping window x window max pool (remainder rows and
+  /// columns dropped). Each output is the first maximum of its window
+  /// in (kh, kw) order under `v > best` from -inf, so NaNs never win;
+  /// argmax[i], when argmax is not null, receives that input's flat
+  /// index, or 0 when no element beats -inf.
+  void (*maxpool2d)(const float* x, float* y, std::uint32_t* argmax,
+                    int channels, int in_h, int in_w, int window);
 };
 
 /// The portable backend: the reference chains every other backend
@@ -137,11 +167,6 @@ const KernelOps& active();
 /// w is a [rows][cols] matrix (conv: [oc][ic*kh*kw], dense: [o][i]) and
 /// wt receives [cols][rows].
 void transpose(const float* w, float* wt, int rows, int cols);
-
-/// Shared scalar max-pool (not dispatched: it only selects existing
-/// quantized values, so it is backend-invariant by construction).
-void maxpool2d(const float* x, float* y, int channels, int in_h, int in_w,
-               int window);
 
 /// Test-only: pins the active backend for the lifetime of the scope so
 /// one process can construct engines on different backends and compare

@@ -27,6 +27,10 @@
 // channels of one tap. A zero g then skips all 8 lanes, exactly as the
 // scalar loop's `continue` does.
 //
+// The buffer quantize replays QFormat::quantize on 4 double lanes, and
+// the 2x2 max pool runs 8 output columns per vector; both are
+// selections or per-element roundings, so lanes need no chain order.
+//
 // This TU is the only one compiled with -mavx2 (x86 builds only; see
 // CMakeLists.txt). On other architectures it compiles to a stub that
 // reports the backend as unavailable.
@@ -37,6 +41,7 @@
 
 #include <immintrin.h>
 
+#include <limits>
 #include <vector>
 
 namespace ftnav::kernels {
@@ -191,6 +196,111 @@ void relu_avx2(float* x, std::size_t n) {
   for (; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
 }
 
+void quantize_avx2(float* x, std::size_t n, const QFormat& format) {
+  // QFormat::quantize on 4 double lanes, operation for operation:
+  // widen, scale, round to nearest-even by adding and removing
+  // copysign(2^52, scaled), NaN -> +0, clamp, rescale, narrow. The
+  // add/sub pair turns every input that rounds to zero (-0.0, -0.2 at
+  // scale 1) into +0.0, as the scalar code does; _mm256_round_pd would
+  // keep their sign. After the NaN select no lane is NaN and none is
+  // -0.0, so min/max clamp exactly like the scalar compares.
+  const QFormat::QuantizeConstants k = format.quantize_constants();
+  const __m256d scale = _mm256_set1_pd(k.scale);
+  const __m256d inv_scale = _mm256_set1_pd(k.inv_scale);
+  const __m256d raw_min = _mm256_set1_pd(k.raw_min);
+  const __m256d raw_max = _mm256_set1_pd(k.raw_max);
+  const __m256d shift = _mm256_set1_pd(4503599627370496.0);  // 2^52
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d scaled =
+        _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(x + i)), scale);
+    const __m256d offset = _mm256_or_pd(shift, _mm256_and_pd(scaled, sign));
+    __m256d rounded = _mm256_sub_pd(_mm256_add_pd(scaled, offset), offset);
+    rounded = _mm256_andnot_pd(_mm256_cmp_pd(rounded, rounded, _CMP_UNORD_Q),
+                               rounded);
+    rounded = _mm256_max_pd(_mm256_min_pd(rounded, raw_max), raw_min);
+    _mm_storeu_ps(x + i, _mm256_cvtpd_ps(_mm256_mul_pd(rounded, inv_scale)));
+  }
+  for (; i < n; ++i) x[i] = format.quantize(x[i]);
+}
+
+/// Max pool with window 2 (the C3F2 pool) across 8 neighbouring output
+/// columns per vector. Each lane runs the scalar window scan: taps in
+/// (kh, kw) order, `v > best` as a compare + blend, and the winning
+/// flat index tracked by the same mask when kArgmax. A window row is 16
+/// contiguous inputs, deinterleaved into the kw = 0 and kw = 1 taps; a
+/// row's last out_w % 8 columns run as one masked vector that reads
+/// nothing past its windows.
+template <bool kArgmax>
+void maxpool2x2_avx2(const float* x, float* y, std::uint32_t* argmax,
+                     int channels, int in_h, int in_w) {
+  const int out_h = in_h / 2;
+  const int out_w = in_w / 2;
+  // Lane l's offset inside a window row: 2 * l.
+  const __m256i lane_offset = _mm256_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14);
+  std::size_t flat = 0;
+  for (int c = 0; c < channels; ++c) {
+    for (int oh = 0; oh < out_h; ++oh) {
+      for (int ow = 0; ow < out_w; ow += 8) {
+        const int valid = out_w - ow < 8 ? out_w - ow : 8;
+        const __m256i store_mask = lane_mask(valid);
+        __m256 best = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+        __m256i best_index = _mm256_setzero_si256();
+        for (int kh = 0; kh < 2; ++kh) {
+          const std::size_t row =
+              (static_cast<std::size_t>(c) * in_h + oh * 2 + kh) * in_w +
+              static_cast<std::size_t>(ow) * 2;
+          const float* p = x + row;
+          const __m256 lo =
+              valid >= 4 ? _mm256_loadu_ps(p)
+                         : _mm256_maskload_ps(p, lane_mask(2 * valid));
+          const __m256 hi =
+              valid == 8  ? _mm256_loadu_ps(p + 8)
+              : valid > 4 ? _mm256_maskload_ps(p + 8, lane_mask(2 * valid - 8))
+                          : _mm256_setzero_ps();
+          // Per 128-bit half {lo[0], lo[2], hi[0], hi[2]} (0x88: even
+          // taps) or the odd ones (0xdd); the 64-bit permute restores
+          // lane order.
+          const __m256 taps[2] = {
+              _mm256_castpd_ps(_mm256_permute4x64_pd(
+                  _mm256_castps_pd(_mm256_shuffle_ps(lo, hi, 0x88)), 0xd8)),
+              _mm256_castpd_ps(_mm256_permute4x64_pd(
+                  _mm256_castps_pd(_mm256_shuffle_ps(lo, hi, 0xdd)), 0xd8))};
+          for (int kw = 0; kw < 2; ++kw) {
+            const __m256 greater = _mm256_cmp_ps(taps[kw], best, _CMP_GT_OQ);
+            best = _mm256_blendv_ps(best, taps[kw], greater);
+            if constexpr (kArgmax) {
+              const __m256i index = _mm256_add_epi32(
+                  _mm256_set1_epi32(static_cast<int>(row + kw)), lane_offset);
+              best_index = _mm256_castps_si256(
+                  _mm256_blendv_ps(_mm256_castsi256_ps(best_index),
+                                   _mm256_castsi256_ps(index), greater));
+            }
+          }
+        }
+        _mm256_maskstore_ps(y + flat, store_mask, best);
+        if constexpr (kArgmax)
+          _mm256_maskstore_epi32(reinterpret_cast<int*>(argmax + flat),
+                                 store_mask, best_index);
+        flat += static_cast<std::size_t>(valid);
+      }
+    }
+  }
+}
+
+void maxpool2d_avx2(const float* x, float* y, std::uint32_t* argmax,
+                    int channels, int in_h, int in_w, int window) {
+  // Only window 2 occurs in the paper's networks; other windows take
+  // the scalar scan.
+  if (window != 2)
+    scalar_ops().maxpool2d(x, y, argmax, channels, in_h, in_w, window);
+  else if (argmax != nullptr)
+    maxpool2x2_avx2<true>(x, y, argmax, channels, in_h, in_w);
+  else
+    maxpool2x2_avx2<false>(x, y, nullptr, channels, in_h, in_w);
+}
+
 /// Per-thread scratch for the backward kernels' staged layouts; grows
 /// to the largest layer seen and is reused across calls.
 std::vector<float>& scratch(int which) {
@@ -323,7 +433,9 @@ const KernelOps* avx2_ops() noexcept {
                              conv2d_weight_grad_avx2,
                              conv2d_input_grad_avx2,
                              scalar_ops().dense_weight_grad,
-                             scalar_ops().dense_input_grad};
+                             scalar_ops().dense_input_grad,
+                             quantize_avx2,
+                             maxpool2d_avx2};
   return &ops;
 }
 

@@ -15,8 +15,9 @@
 // NEON path selects through a compare instead, which matches the
 // scalar chain for every input including NaN and -0.0.
 //
-// Training runs the scalar backward chains on this backend; only the
-// forward entries are vectorized here.
+// Training runs the scalar backward chains on this backend, and the
+// quantize and max-pool entries are the scalar ones; only the conv,
+// dense and relu forward entries are vectorized here.
 //
 // On non-ARM architectures this TU compiles to a stub that reports the
 // backend as unavailable (mirroring kernels_avx2.cpp off x86).
@@ -196,7 +197,8 @@ void relu_neon(float* x, std::size_t n) {
 }  // namespace
 
 const KernelOps* neon_ops() noexcept {
-  // The backward entries are the scalar chains (see kernels.h).
+  // The backward, quantize and max-pool entries are the scalar ones
+  // (see kernels.h).
   static const KernelOps ops{"neon",
                              /*dense_wants_transposed=*/true,
                              /*conv_wants_transposed=*/true,
@@ -206,7 +208,9 @@ const KernelOps* neon_ops() noexcept {
                              scalar_ops().conv2d_weight_grad,
                              scalar_ops().conv2d_input_grad,
                              scalar_ops().dense_weight_grad,
-                             scalar_ops().dense_input_grad};
+                             scalar_ops().dense_input_grad,
+                             scalar_ops().quantize,
+                             scalar_ops().maxpool2d};
   return &ops;
 }
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 
 namespace ftnav {
@@ -168,33 +167,10 @@ Tensor MaxPool2D::forward(const Tensor& input) {
   const Shape out_shape = output_shape(input.shape());
   cached_input_shape_ = input.shape();
   Tensor out(out_shape);
-  argmax_.assign(out.size(), 0);
-  std::size_t flat = 0;
-  for (int c = 0; c < out_shape.channels; ++c) {
-    for (int oh = 0; oh < out_shape.height; ++oh) {
-      for (int ow = 0; ow < out_shape.width; ++ow, ++flat) {
-        float best = -std::numeric_limits<float>::infinity();
-        std::size_t best_index = 0;
-        for (int kh = 0; kh < window_; ++kh) {
-          for (int kw = 0; kw < window_; ++kw) {
-            const int ih = oh * window_ + kh;
-            const int iw = ow * window_ + kw;
-            const float v = input.get(c, ih, iw);
-            if (v > best) {
-              best = v;
-              best_index =
-                  (static_cast<std::size_t>(c) * cached_input_shape_.height +
-                   static_cast<std::size_t>(ih)) *
-                      cached_input_shape_.width +
-                  static_cast<std::size_t>(iw);
-            }
-          }
-        }
-        out.ref(c, oh, ow) = best;
-        argmax_[flat] = best_index;
-      }
-    }
-  }
+  argmax_.resize(out.size());
+  kernels::active().maxpool2d(input.data(), out.data(), argmax_.data(),
+                              out_shape.channels, cached_input_shape_.height,
+                              cached_input_shape_.width, window_);
   return out;
 }
 

@@ -7,14 +7,15 @@
 // can map every parametered layer onto a slice of the accelerator's
 // weight buffer and target faults at "Conv1" vs "FC2" (Fig. 7d).
 //
-// Conv2D and Dense run their forward and backward arithmetic through
-// the dispatched kernels (nn/kernels/kernels.h), the same code the
-// quantized engine runs, so FTNAV_SIMD selects the training kernels
+// Conv2D and Dense run their forward and backward arithmetic, and
+// MaxPool2D its forward, through the dispatched kernels
+// (nn/kernels/kernels.h), the same code the quantized engine runs, so FTNAV_SIMD selects the training kernels
 // too and every backend trains bit-identical parameters. For backends
 // that read a transposed weight copy, each layer keeps one, built on
 // the first forward after its parameters change.
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -179,7 +180,7 @@ class MaxPool2D final : public Layer {
  private:
   int window_;
   Shape cached_input_shape_{};
-  std::vector<std::size_t> argmax_;  // flat input index per output cell
+  std::vector<std::uint32_t> argmax_;  // flat input index per output cell
 };
 
 /// Reshapes CHW into a flat vector.

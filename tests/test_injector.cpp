@@ -135,23 +135,5 @@ TEST(EnforceStuckValues, EmptyMaskPreservesValuesExactly) {
   EXPECT_FLOAT_EQ(values[0], 0.33f);
 }
 
-TEST(QuantizeValues, RoundsEveryElement) {
-  const QFormat fmt(3, 4);
-  std::vector<float> values = {0.3f, -0.3f, 100.0f};
-  quantize_values(values, fmt);
-  EXPECT_FLOAT_EQ(values[0], 0.3125f);
-  EXPECT_FLOAT_EQ(values[1], -0.3125f);
-  EXPECT_FLOAT_EQ(values[2], 7.9375f);
-}
-
-TEST(QuantizeValues, IdempotentOnRepresentable) {
-  const QFormat fmt(4, 11);
-  std::vector<float> values = {1.5f, -2.25f};
-  quantize_values(values, fmt);
-  const auto once = values;
-  quantize_values(values, fmt);
-  EXPECT_EQ(values, once);
-}
-
 }  // namespace
 }  // namespace ftnav

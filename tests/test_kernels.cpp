@@ -19,6 +19,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/injector.h"
@@ -191,6 +192,140 @@ void run_relu_matrix(const KernelOps& simd) {
     expect_bit_identical(scalar, simd_vals, "relu");
     for (float v : scalar) EXPECT_GE(v, 0.0f);
     EXPECT_EQ(bits_of(scalar[0]), bits_of(0.0f));  // not -0.0
+  }
+}
+
+/// Quantize edge values for `fmt`: NaNs, infinities, signed zeros,
+/// negatives that round to zero, half-resolution ties on both sides
+/// of zero, saturating magnitudes, float denormals, and random values
+/// in and just beyond the format's range.
+std::vector<float> quantize_probes(const QFormat& fmt, std::uint64_t seed) {
+  const float res = static_cast<float>(fmt.resolution());
+  const float max = static_cast<float>(fmt.max_value());
+  const float min = static_cast<float>(fmt.min_value());
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> values = {
+      nan, -nan, inf, -inf, 0.0f, -0.0f,
+      // Round to zero from below: the result must be +0.0.
+      -0.2f * res, -0.5f * res, -0.49f * res, 0.5f * res, 0.2f * res,
+      // Ties to even away from zero.
+      1.5f * res, 2.5f * res, -1.5f * res, -2.5f * res, 7.5f * res,
+      -7.5f * res, 1000.5f * res, -1000.5f * res,
+      // Saturation.
+      max, min, max + res, min - res, max + 0.5f * res, min - 0.5f * res,
+      1e30f, -1e30f, std::numeric_limits<float>::max(),
+      std::numeric_limits<float>::lowest(),
+      // Denormals and the smallest normals.
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(), 1e-40f, -1e-40f,
+      std::numeric_limits<float>::min(), -std::numeric_limits<float>::min()};
+  Rng rng(seed);
+  for (int i = 0; i < 64; ++i)
+    values.push_back(static_cast<float>(rng.normal(0.0, 1.5 * max)));
+  return values;
+}
+
+/// ops.quantize must equal QFormat::quantize on every element, bit for
+/// bit, for every paper format in both encodings, at lengths that leave
+/// a remainder for 4-, 8- and 16-wide vectors.
+void run_quantize_matrix(const KernelOps& ops) {
+  const QFormat formats[] = {QFormat::q_1_4_11(), QFormat::q_1_7_8(),
+                             QFormat::q_1_10_5(), QFormat::grid_world_8bit()};
+  std::uint64_t seed = 900;
+  for (const QFormat& base : formats) {
+    for (const Encoding encoding :
+         {Encoding::kTwosComplement, Encoding::kSignMagnitude}) {
+      const QFormat fmt = base.with_encoding(encoding);
+      const std::vector<float> probes = quantize_probes(fmt, ++seed);
+      for (const std::size_t n :
+           {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{5},
+            std::size_t{7}, std::size_t{13}, std::size_t{31}, probes.size()}) {
+        // Rotate the probes so every edge value visits several lanes.
+        for (std::size_t rot = 0; rot < (n == probes.size() ? 5 : 1);
+             ++rot) {
+          std::vector<float> input(n);
+          for (std::size_t i = 0; i < n; ++i)
+            input[i] = probes[(i + rot * 7 + n) % probes.size()];
+          std::vector<float> expected = input;
+          for (float& v : expected) v = fmt.quantize(v);
+          std::vector<float> got = input;
+          ops.quantize(got.data(), got.size(), fmt);
+          SCOPED_TRACE(fmt.name() + " n=" + std::to_string(n) +
+                       " rot=" + std::to_string(rot));
+          expect_bit_identical(expected, got, "quantize");
+        }
+      }
+      // Everything that rounds to zero comes out +0.0, never -0.0.
+      const float res = static_cast<float>(fmt.resolution());
+      std::vector<float> zeros = {-0.0f, -0.2f * res, -0.5f * res, 0.0f,
+                                  std::numeric_limits<float>::quiet_NaN()};
+      ops.quantize(zeros.data(), zeros.size(), fmt);
+      for (const float v : zeros) EXPECT_EQ(bits_of(v), bits_of(0.0f));
+    }
+  }
+}
+
+/// ops.maxpool2d must equal the scalar pool, outputs and argmax
+/// indices, on odd planes, windows 2 and 3, and inputs with -inf, NaN,
+/// signed-zero ties and whole windows of -inf or NaN (argmax 0).
+void run_maxpool_matrix(const KernelOps& ops) {
+  const QFormat fmt = QFormat::q_1_4_11();
+  const struct { int channels, in_h, in_w, window; } shapes[] = {
+      {1, 2, 2, 2},   {1, 5, 7, 2},   {2, 9, 9, 2},   {3, 7, 17, 2},
+      {1, 4, 33, 2},  {2, 3, 35, 2},  {16, 18, 18, 2}, {96, 25, 25, 2},
+      {1, 3, 3, 3},   {2, 7, 11, 3},  {3, 10, 26, 3}, {2, 9, 50, 3},
+      {1, 5, 5, 1},   {2, 4, 19, 1},
+  };
+  std::uint64_t seed = 1300;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const auto& g : shapes) {
+    const std::size_t in_n =
+        static_cast<std::size_t>(g.channels) * g.in_h * g.in_w;
+    const std::size_t out_n = static_cast<std::size_t>(g.channels) *
+                              (g.in_h / g.window) * (g.in_w / g.window);
+    std::vector<float> x = quantized_randoms(fmt, in_n, ++seed);
+    Rng rng(++seed);
+    for (float& v : x) {
+      const std::uint64_t pick = rng.below(16);
+      if (pick == 0) v = -inf;
+      else if (pick == 1) v = nan;
+      else if (pick == 2) v = 0.0f;
+      else if (pick == 3) v = -0.0f;
+    }
+    // The first two windows are all -inf and all NaN: no element
+    // beats -inf there.
+    const bool edge_windows = g.window > 1 && g.in_w / g.window >= 2;
+    for (int kh = 0; edge_windows && kh < g.window; ++kh)
+      for (int kw = 0; kw < g.window; ++kw) {
+        x[static_cast<std::size_t>(kh) * g.in_w + kw] = -inf;
+        x[static_cast<std::size_t>(kh) * g.in_w + g.window + kw] = nan;
+      }
+    const auto run = [&](const KernelOps& backend, bool with_argmax) {
+      std::vector<float> y(out_n, 123.0f);
+      std::vector<std::uint32_t> argmax(with_argmax ? out_n : 0, 77);
+      backend.maxpool2d(x.data(), y.data(),
+                        with_argmax ? argmax.data() : nullptr, g.channels,
+                        g.in_h, g.in_w, g.window);
+      return std::make_pair(y, argmax);
+    };
+    SCOPED_TRACE("c=" + std::to_string(g.channels) + " h=" +
+                 std::to_string(g.in_h) + " w=" + std::to_string(g.in_w) +
+                 " window=" + std::to_string(g.window));
+    for (const bool with_argmax : {false, true}) {
+      const auto expected = run(kernels::scalar_ops(), with_argmax);
+      const auto got = run(ops, with_argmax);
+      expect_bit_identical(expected.first, got.first, "maxpool");
+      ASSERT_EQ(expected.second, got.second) << "maxpool argmax";
+    }
+    if (edge_windows) {
+      const auto pooled = run(ops, true);
+      EXPECT_EQ(bits_of(pooled.first[0]), bits_of(-inf));
+      EXPECT_EQ(pooled.second[0], 0u);
+      EXPECT_EQ(bits_of(pooled.first[1]), bits_of(-inf));
+      EXPECT_EQ(pooled.second[1], 0u);
+    }
   }
 }
 
@@ -428,6 +563,14 @@ TEST_F(Avx2BitIdentity, ReluIncludingSignedZeroAndRemainder) {
   run_relu_matrix(*simd_);
 }
 
+TEST_F(Avx2BitIdentity, QuantizeMatchesQFormatOnEdgeValues) {
+  run_quantize_matrix(*simd_);
+}
+
+TEST_F(Avx2BitIdentity, MaxPoolAcrossWindowsAndOddPlanes) {
+  run_maxpool_matrix(*simd_);
+}
+
 TEST_F(Avx2BitIdentity, FaultedWeightImagesStayBitIdentical) {
   run_faulted_dense(*simd_);
 }
@@ -467,6 +610,14 @@ TEST_F(NeonBitIdentity, DenseAcrossWidthsAndRemainderLanes) {
 
 TEST_F(NeonBitIdentity, ReluIncludingSignedZeroAndRemainder) {
   run_relu_matrix(*simd_);
+}
+
+TEST_F(NeonBitIdentity, QuantizeMatchesQFormatOnEdgeValues) {
+  run_quantize_matrix(*simd_);
+}
+
+TEST_F(NeonBitIdentity, MaxPoolAcrossWindowsAndOddPlanes) {
+  run_maxpool_matrix(*simd_);
 }
 
 TEST_F(NeonBitIdentity, FaultedWeightImagesStayBitIdentical) {
@@ -533,6 +684,28 @@ TEST(Kernels, TransposeSwapsRowsAndColumns) {
   EXPECT_EQ(wt, (std::vector<float>{1, 4, 2, 5, 3, 6}));
 }
 
+TEST(Kernels, ScalarQuantizeMatchesQFormatOnEdgeValues) {
+  run_quantize_matrix(kernels::scalar_ops());
+}
+
+TEST(Kernels, QuantizeRoundsEveryElement) {
+  const QFormat fmt(3, 4);
+  std::vector<float> values = {0.3f, -0.3f, 100.0f};
+  kernels::active().quantize(values.data(), values.size(), fmt);
+  EXPECT_FLOAT_EQ(values[0], 0.3125f);
+  EXPECT_FLOAT_EQ(values[1], -0.3125f);
+  EXPECT_FLOAT_EQ(values[2], 7.9375f);
+}
+
+TEST(Kernels, QuantizeIdempotentOnRepresentable) {
+  const QFormat fmt(4, 11);
+  std::vector<float> values = {1.5f, -2.25f};
+  kernels::active().quantize(values.data(), values.size(), fmt);
+  const auto once = values;
+  kernels::active().quantize(values.data(), values.size(), fmt);
+  EXPECT_EQ(values, once);
+}
+
 TEST(Kernels, MaxPoolSelectsFirstOfEqualMaxima) {
   // 2x2 windows over one channel; ties must resolve to the first
   // element in scan order (strict > comparison).
@@ -543,11 +716,14 @@ TEST(Kernels, MaxPoolSelectsFirstOfEqualMaxima) {
       -1.f, -1.f, -8.0f, -0.5f,
   };
   std::vector<float> y(4);
-  kernels::maxpool2d(x.data(), y.data(), 1, 4, 4, 2);
+  std::vector<std::uint32_t> argmax(4);
+  kernels::scalar_ops().maxpool2d(x.data(), y.data(), argmax.data(), 1, 4,
+                                  4, 2);
   EXPECT_EQ(y[0], 1.0f);
   EXPECT_EQ(y[1], 0.5f);
   EXPECT_EQ(y[2], -1.0f);
   EXPECT_EQ(y[3], -0.5f);
+  EXPECT_EQ(argmax, (std::vector<std::uint32_t>{0, 3, 8, 10}));
 }
 
 }  // namespace
