@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <vector>
 
 #include "core/injector.h"
+#include "util/binary_io.h"
 
 namespace ftnav {
 namespace {
@@ -58,6 +60,68 @@ TEST(StuckAtMask, MergeCombinesMasks) {
   a.apply(words);
   EXPECT_EQ(words[0], 0xfeu | 0x02u);
   EXPECT_EQ(words[1], 0x04u);
+}
+
+/// The compiled (and_mask, or_mask) of every word in [0, words): a
+/// stuck-at-0 entry shows in what it leaves of an all-ones word, a
+/// stuck-at-1 entry in what it sets in an all-zeros word.
+std::vector<Word> compiled_words(const StuckAtMask& mask, std::size_t words) {
+  std::vector<Word> ones(words, ~Word{0}), zeros(words, Word{0});
+  mask.apply(ones);
+  mask.apply(zeros);
+  std::vector<Word> out;
+  for (std::size_t i = 0; i < words; ++i) {
+    out.push_back(ones[i]);
+    out.push_back(zeros[i]);
+  }
+  return out;
+}
+
+TEST(StuckAtMask, CompiledEntriesArePinned) {
+  // Unsorted sites, several per word, repeated sites and a word index
+  // past the probe buffer (skipped by apply, still an entry).
+  const std::vector<FaultSite> sites = {
+      FaultSite{5, 3}, FaultSite{1, 0}, FaultSite{5, 7}, FaultSite{1, 0},
+      FaultSite{3, 15}, FaultSite{5, 0}, FaultSite{1, 9}, FaultSite{40, 2},
+      FaultSite{3, 1}};
+  const StuckAtMask sa0 =
+      StuckAtMask::compile(FaultMap(FaultType::kStuckAt0, sites));
+  const StuckAtMask sa1 =
+      StuckAtMask::compile(FaultMap(FaultType::kStuckAt1, sites));
+  EXPECT_EQ(sa0.faulty_word_count(), 4u);
+  EXPECT_EQ(sa1.faulty_word_count(), 4u);
+  const Word all = ~Word{0};
+  EXPECT_EQ(compiled_words(sa0, 6),
+            (std::vector<Word>{all, 0, all & ~Word{0x201}, 0, all, 0,
+                               all & ~Word{0x8002}, 0, all, 0,
+                               all & ~Word{0x89}, 0}));
+  EXPECT_EQ(compiled_words(sa1, 6),
+            (std::vector<Word>{all, 0, all, 0x201, all, 0, all, 0x8002, all,
+                               0, all, 0x89}));
+  std::vector<Word> far(41, 0);
+  sa1.apply(far);
+  EXPECT_EQ(far[40], 0x4u);
+
+  // Sampled maps dense enough that most faulty words carry several
+  // sites, digested over the probe words.
+  for (const FaultType type : {FaultType::kStuckAt0, FaultType::kStuckAt1}) {
+    Rng rng(type == FaultType::kStuckAt0 ? 21 : 22);
+    const FaultMap map = FaultMap::sample(type, 0.15, 64, 16, rng);
+    const StuckAtMask mask = StuckAtMask::compile(map);
+    const std::vector<Word> words = compiled_words(mask, 64);
+    const std::uint64_t digest = io::fnv1a(
+        {reinterpret_cast<const char*>(words.data()),
+         words.size() * sizeof(Word)});
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016llxULL",
+                  static_cast<unsigned long long>(digest));
+    const bool sa0_map = type == FaultType::kStuckAt0;
+    EXPECT_EQ(mask.faulty_word_count(), sa0_map ? 61u : 55u);
+    EXPECT_EQ(digest,
+              sa0_map ? 0x84d93589db751191ULL : 0x2ad113702792b777ULL)
+        << to_string(type) << ": got " << hex << ", "
+        << mask.faulty_word_count() << " words";
+  }
 }
 
 TEST(StuckAtMask, EmptyMaskIsNoOp) {

@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <string>
+#include <vector>
 
+#include "nn/c3f2.h"
 #include "nn/kernels/kernels.h"
 #include "nn/quantized_engine.h"
+#include "util/binary_io.h"
 
 namespace ftnav {
 namespace {
@@ -277,6 +283,217 @@ TEST(QuantizedEngine, PersistentEngineMatchesFreshEngine) {
     EXPECT_EQ(resident.weight_detector()->detections() - before,
               fresh.weight_detector()->detections())
         << "trial " << trial;
+  }
+}
+
+// ---- Resident-engine byte pins --------------------------------------------
+// One resident engine runs a scripted sequence of fault trials the way
+// the campaign drivers do (reset_faults() first, then faults and
+// inferences interleaved). Every inference is compared bit for bit
+// with a fresh engine replaying the same trial, per-trial detection
+// deltas are compared with the fresh engine's count, and the whole
+// sequence (outputs, detection and check deltas) is digested so any
+// change to what a resident engine computes shows up here.
+
+std::uint32_t float_bits(float v) {
+  std::uint32_t out;
+  std::memcpy(&out, &v, sizeof(out));
+  return out;
+}
+
+/// Plays one trial script on `engine`; each character is one call:
+///   'i' infer the next input (cycling through `inputs`)
+///   'a' act on the next input (the greedy action is recorded)
+///   'T' inject a transient weight map at `ber`
+///   'L' layer-targeted transient at `ber` (layer = `layer`)
+///   '0' / '1' stuck-at-0 / stuck-at-1 weight mask at `ber`
+///   'r' reset_faults(), as a Transient-1 upset ends mid-rollout
+/// Returns the bit patterns of every inference output and the actions.
+std::vector<std::uint32_t> play_trial(QuantizedInferenceEngine& engine,
+                                      const std::string& script, double ber,
+                                      std::size_t layer,
+                                      const std::vector<Tensor>& inputs,
+                                      std::size_t& next_input,
+                                      std::uint64_t seed) {
+  Rng rng(seed);
+  const int bits = engine.format().total_bits();
+  const std::size_t words = engine.weight_word_count();
+  std::vector<std::uint32_t> out;
+  for (const char c : script) {
+    switch (c) {
+      case 'i': {
+        const Tensor y = engine.infer(inputs[next_input++ % inputs.size()], rng);
+        for (const float v : y.values()) out.push_back(float_bits(v));
+        break;
+      }
+      case 'a':
+        out.push_back(static_cast<std::uint32_t>(
+            engine.act(inputs[next_input++ % inputs.size()], rng)));
+        break;
+      case 'T':
+        engine.inject_weight_faults(FaultMap::sample(
+            FaultType::kTransientFlip, ber, words, bits, rng));
+        break;
+      case 'L':
+        engine.inject_layer_weight_faults(layer, ber, rng);
+        break;
+      case '0':
+      case '1':
+        engine.set_weight_stuck(StuckAtMask::compile(FaultMap::sample(
+            c == '0' ? FaultType::kStuckAt0 : FaultType::kStuckAt1, ber,
+            words, bits, rng)));
+        break;
+      case 'r':
+        engine.reset_faults();
+        break;
+      default:
+        ADD_FAILURE() << "bad script character " << c;
+    }
+  }
+  return out;
+}
+
+/// Runs the scripted sequence on one resident engine, checks it against
+/// fresh engines, and returns the FNV-1a digest of the sequence.
+std::uint64_t resident_sequence_digest(const Network& net, QFormat format,
+                                       Shape input_shape,
+                                       const std::vector<Tensor>& inputs,
+                                       bool protect) {
+  // Transient-M, Transient-1 (inject -> act -> reset mid-rollout),
+  // stuck-at, per-layer, stacked faults, clean trials, repeated
+  // injections without a reset, and a reset on a clean image.
+  const std::string scripts[] = {
+      "iTia", "iaTarai", "0ia",  "1ai",  "Lii",   "aa",
+      "T1Li", "iTiTa",   "Tra",  "rrii", "iLiri", "01Ta",
+  };
+  const double bers[] = {0.001, 0.005, 0.02, 0.1, 0.3};
+  QuantizedInferenceEngine resident(net, format, input_shape);
+  if (protect) resident.enable_weight_protection(0.1);
+  std::vector<char> record;
+  const auto put = [&record](std::uint64_t v) {
+    const auto* p = reinterpret_cast<const char*>(&v);
+    record.insert(record.end(), p, p + sizeof(v));
+  };
+  std::size_t resident_input = 0;
+  std::uint64_t total_detections = 0;
+  const std::size_t layers = resident.parametered_layer_count();
+  for (std::size_t trial = 0; trial < 3 * std::size(scripts); ++trial) {
+    const std::string& script = scripts[trial % std::size(scripts)];
+    const double ber = bers[trial % std::size(bers)];
+    const std::size_t layer = trial % layers;
+    const std::uint64_t seed = 1000 + trial;
+    SCOPED_TRACE("trial " + std::to_string(trial) + " script " + script);
+
+    const RangeAnomalyDetector* det = resident.weight_detector();
+    const std::uint64_t detections_before = det ? det->detections() : 0;
+    const std::uint64_t checks_before = det ? det->checks() : 0;
+    std::size_t fresh_input = resident_input;
+    resident.reset_faults();
+    const auto got = play_trial(resident, script, ber, layer, inputs,
+                                resident_input, seed);
+
+    QuantizedInferenceEngine fresh(net, format, input_shape);
+    if (protect) fresh.enable_weight_protection(0.1);
+    const auto want =
+        play_trial(fresh, script, ber, layer, inputs, fresh_input, seed);
+    EXPECT_EQ(got, want);
+
+    for (const std::uint32_t bits : got) put(bits);
+    if (protect) {
+      const std::uint64_t detections = det->detections() - detections_before;
+      EXPECT_EQ(detections, fresh.weight_detector()->detections());
+      total_detections += detections;
+      put(detections);
+      put(det->checks() - checks_before);
+    }
+  }
+  // The detector has work to do: the high-BER trials hit high bits.
+  if (protect) {
+    EXPECT_GT(total_detections, 0u);
+  }
+  return io::fnv1a({record.data(), record.size()});
+}
+
+std::string hex_digest(std::uint64_t digest) {
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "0x%016llxULL",
+                static_cast<unsigned long long>(digest));
+  return hex;
+}
+
+TEST(QuantizedEngine, ResidentGridMlpSequenceIsPinned) {
+  // The Grid World MLP (one-hot state -> 48 hidden -> 4 Q-values) in
+  // its sign-magnitude weight format. One-hot inputs, a -0.0-padded
+  // one-hot, few-hot, all-zero and dense inputs.
+  Rng rng(80);
+  Network net;
+  net.add(std::make_unique<Dense>(100, 48, rng)).set_label("FC1");
+  net.add(std::make_unique<ReLU>());
+  net.add(std::make_unique<Dense>(48, 4, rng)).set_label("FC2");
+  const Shape shape{100, 1, 1};
+  std::vector<Tensor> inputs;
+  for (const std::size_t hot : {0u, 37u, 99u}) {
+    Tensor t(shape);
+    t[hot] = 1.0f;
+    inputs.push_back(t);
+  }
+  Tensor signed_zeros(shape);
+  signed_zeros.fill(-0.0f);
+  signed_zeros[12] = 1.0f;
+  inputs.push_back(signed_zeros);
+  Tensor few_hot(shape);
+  few_hot[3] = 1.0f;
+  few_hot[50] = 0.5f;
+  few_hot[77] = -1.0f;
+  inputs.push_back(few_hot);
+  inputs.emplace_back(shape);  // all zero
+  Tensor dense(shape);
+  Rng fill(81);
+  for (std::size_t i = 0; i < dense.size(); ++i)
+    dense[i] = static_cast<float>(fill.uniform(-1.0, 1.0));
+  inputs.push_back(dense);
+
+  const QFormat format = QFormat::grid_world_weights();
+  const std::uint64_t expected[] = {0x1c28fc839b78a7eaULL,
+                                    0xc5dda4c9fdb7d9dcULL};
+  for (const bool protect : {false, true}) {
+    const std::uint64_t digest =
+        resident_sequence_digest(net, format, shape, inputs, protect);
+    EXPECT_EQ(digest, expected[protect])
+        << "protect=" << protect << ": got " << hex_digest(digest);
+  }
+}
+
+TEST(QuantizedEngine, ResidentC3F2SequenceIsPinned) {
+  // The fast C3F2 drone policy in Q(1,4,11), both encodings.
+  Rng rng(90);
+  const C3F2Config config = C3F2Config::preset(C3F2Preset::kFast);
+  const Network net = make_c3f2(config, rng);
+  const Shape shape = config.input_shape();
+  std::vector<Tensor> inputs;
+  Rng fill(91);
+  for (int k = 0; k < 2; ++k) {
+    Tensor t(shape);
+    for (std::size_t i = 0; i < t.size(); ++i)
+      t[i] = static_cast<float>(fill.uniform(0.0, 1.0));
+    inputs.push_back(t);
+  }
+  inputs.emplace_back(shape);  // all zero
+
+  const std::uint64_t expected[2][2] = {
+      {0x0c3e3faeb4be84ffULL, 0xbd0197b6bd6bd67aULL},
+      {0x26a8ba4c2537c8c5ULL, 0x4bb647c676aab1c0ULL}};
+  for (const Encoding encoding :
+       {Encoding::kTwosComplement, Encoding::kSignMagnitude}) {
+    const QFormat format = QFormat::q_1_4_11(encoding);
+    for (const bool protect : {false, true}) {
+      const std::uint64_t digest =
+          resident_sequence_digest(net, format, shape, inputs, protect);
+      EXPECT_EQ(digest,
+                expected[encoding == Encoding::kSignMagnitude][protect])
+          << format.name() << " protect=" << protect << ": got "
+          << hex_digest(digest);
+    }
   }
 }
 
