@@ -46,6 +46,8 @@ bench, from the repo root, Release build):
         ./build/bench/bench_fig4_convergence
     FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 \
         ./build/bench/bench_fig8_mitigated_training
+    FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 \
+        ./build/bench/bench_fig10_anomaly_detection
 
 then commit the rewritten bench/baselines/BENCH_*.json. The fig7b line
 refreshes both of its rows: drone_env_trials (the rollout grid) and

@@ -68,6 +68,14 @@ class RangeAnomalyDetector {
   /// Applies filter() across a tensor in place; returns detections.
   std::size_t filter_all(std::size_t layer, std::span<float> values);
 
+  /// Tallies one filter_all() pass over `checks` values of which
+  /// `detections` were anomalous, for callers that keep per-value
+  /// results and re-check only the values that changed.
+  void count_pass(std::uint64_t checks, std::uint64_t detections) noexcept {
+    checks_ += checks;
+    detections_ += detections;
+  }
+
   const LayerBounds& bounds(std::size_t layer) const;
   std::uint64_t detections() const noexcept { return detections_; }
   std::uint64_t checks() const noexcept { return checks_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace ftnav {
 
@@ -10,46 +9,30 @@ StuckAtMask StuckAtMask::compile(const FaultMap& map) {
   if (!is_permanent(map.type()))
     throw std::invalid_argument(
         "StuckAtMask::compile: fault map is not permanent");
-  std::unordered_map<std::uint32_t, Entry> merged;
-  for (const FaultSite& site : map.sites()) {
-    Entry& entry = merged[site.word_index];
-    entry.word_index = site.word_index;
-    const Word bit = Word{1} << site.bit;
-    if (map.type() == FaultType::kStuckAt0) {
+  // Sort the sites by word, then fold each run of equal words into one
+  // entry: the same sorted entries a per-word map would give. A site
+  // packs into one integer key (word above bit), so the sort compares
+  // integers.
+  std::vector<std::uint64_t> keys;
+  keys.reserve(map.size());
+  for (const FaultSite& site : map.sites())
+    keys.push_back(std::uint64_t{site.word_index} << 8 | site.bit);
+  std::sort(keys.begin(), keys.end());
+  const bool stuck_at_0 = map.type() == FaultType::kStuckAt0;
+  StuckAtMask mask;
+  for (const std::uint64_t key : keys) {
+    const auto word = static_cast<std::uint32_t>(key >> 8);
+    if (mask.entries_.empty() || mask.entries_.back().word_index != word)
+      mask.entries_.push_back(Entry{word});
+    Entry& entry = mask.entries_.back();
+    const Word bit = Word{1} << (key & 0xff);
+    if (stuck_at_0) {
       entry.and_mask &= ~bit;
     } else {
       entry.or_mask |= bit;
     }
   }
-  StuckAtMask mask;
-  mask.entries_.reserve(merged.size());
-  for (auto& [index, entry] : merged) mask.entries_.push_back(entry);
-  std::sort(mask.entries_.begin(), mask.entries_.end(),
-            [](const Entry& a, const Entry& b) {
-              return a.word_index < b.word_index;
-            });
   return mask;
-}
-
-void StuckAtMask::merge(const StuckAtMask& other) {
-  std::unordered_map<std::uint32_t, Entry> merged;
-  for (const Entry& e : entries_) merged[e.word_index] = e;
-  for (const Entry& e : other.entries_) {
-    auto [it, inserted] = merged.try_emplace(e.word_index, e);
-    if (!inserted) {
-      it->second.and_mask &= e.and_mask;
-      it->second.or_mask |= e.or_mask;
-      // A bit both stuck at 0 and at 1 resolves to the later (1) fault.
-      it->second.and_mask |= it->second.or_mask;
-    }
-  }
-  entries_.clear();
-  entries_.reserve(merged.size());
-  for (auto& [index, entry] : merged) entries_.push_back(entry);
-  std::sort(entries_.begin(), entries_.end(),
-            [](const Entry& a, const Entry& b) {
-              return a.word_index < b.word_index;
-            });
 }
 
 void StuckAtMask::apply(std::span<Word> words) const noexcept {
@@ -58,6 +41,42 @@ void StuckAtMask::apply(std::span<Word> words) const noexcept {
     Word& w = words[entry.word_index];
     w = (w & entry.and_mask) | entry.or_mask;
   }
+}
+
+void FaultableImage::restore() {
+  if (!dirty_) return;
+  const std::span<Word> live = live_.words();
+  for (const std::uint32_t word : touched_) {
+    live[word] = golden_[word];
+    if ((marks_[word] & kChanged) == 0) changed_.push_back(word);
+    marks_[word] = kChanged;
+  }
+  touched_.clear();
+  dirty_ = false;
+}
+
+void FaultableImage::mark_synced() noexcept {
+  for (const std::uint32_t word : changed_)
+    marks_[word] &= static_cast<std::uint8_t>(~kChanged);
+  changed_.clear();
+}
+
+void FaultableImage::apply(const FaultMap& map, std::size_t begin,
+                           std::size_t count) {
+  if (map.sites().empty()) return;
+  map.apply_once(live_.words().subspan(begin, count));
+  for (const FaultSite& site : map.sites())
+    if (site.word_index < count)
+      touch(static_cast<std::uint32_t>(begin + site.word_index));
+  dirty_ = true;
+}
+
+void FaultableImage::apply(const StuckAtMask& mask) {
+  if (mask.empty()) return;
+  mask.apply(live_);
+  for (const StuckAtMask::Entry& entry : mask.entries())
+    if (entry.word_index < size()) touch(entry.word_index);
+  dirty_ = true;
 }
 
 void inject_transient(QVector& buffer, const FaultMap& map) {

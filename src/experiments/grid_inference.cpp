@@ -62,12 +62,13 @@ bool engine_rollout(const GridWorld& env, QuantizedInferenceEngine& engine,
                     const FaultMap* transient1 = nullptr,
                     int transient1_step = -1) {
   int state = env.source_state();
+  Tensor one_hot(static_cast<std::size_t>(env.state_count()));
   for (int step = 0; step < max_steps; ++step) {
     if (transient1 != nullptr && step == transient1_step)
       engine.inject_weight_faults(*transient1);
-    Tensor one_hot(static_cast<std::size_t>(env.state_count()));
     one_hot[static_cast<std::size_t>(state)] = 1.0f;
     const int action = static_cast<int>(engine.act(one_hot, rng));
+    one_hot[static_cast<std::size_t>(state)] = 0.0f;
     if (transient1 != nullptr && step == transient1_step)
       engine.reset_faults();  // read-register fault lasts one step
     const GridWorld::StepResult result = env.step(state, action);

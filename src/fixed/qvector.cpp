@@ -1,6 +1,5 @@
 #include "fixed/qvector.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace ftnav {
@@ -58,12 +57,6 @@ void QVector::encode_from(std::span<const double> values) {
     throw std::invalid_argument("QVector::encode_from: size mismatch");
   for (std::size_t i = 0; i < words_.size(); ++i)
     words_[i] = format_.encode(values[i]);
-}
-
-void QVector::assign_words(std::span<const Word> words) {
-  if (words.size() != words_.size())
-    throw std::invalid_argument("QVector::assign_words: size mismatch");
-  std::copy(words.begin(), words.end(), words_.begin());
 }
 
 }  // namespace ftnav

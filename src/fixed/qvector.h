@@ -53,12 +53,6 @@ class QVector {
   /// Re-encodes floats element-wise; sizes must match.
   void encode_from(std::span<const float> values);
   void encode_from(std::span<const double> values);
-  /// Batched word-level restore: overwrites the whole buffer from a
-  /// snapshot taken off this (or an identically formatted) buffer.
-  /// Sizes must match; words are trusted to be already masked, so this
-  /// is a straight copy — the fast path for snapshot/restore trial
-  /// loops (see FaultableImage in core/injector.h).
-  void assign_words(std::span<const Word> words);
 
   /// Total number of bit positions in the buffer (size * total_bits):
   /// the denominator of the paper's bit error rate.

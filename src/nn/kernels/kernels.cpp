@@ -3,8 +3,10 @@
 // These loops are the reference implementation of every conv/dense
 // chain, buffer quantize and max pool: the layers (src/nn/layers.cpp)
 // and the quantized engine both run them through the dispatch table,
-// and each SIMD backend reproduces them bit for bit. This TU is compiled with
-// -ffp-contract=off (see CMakeLists.txt) so the chains stay mul+add.
+// and each SIMD backend reproduces them bit for bit. dense_gather, the
+// engine's sparse-input dense forward, lives here for every backend.
+// This TU is compiled with -ffp-contract=off (see CMakeLists.txt) so
+// the chains stay mul+add.
 
 #include "nn/kernels/kernels.h"
 
@@ -268,6 +270,23 @@ void transpose(const float* w, float* wt, int rows, int cols) {
     for (int r = 0; r < rows; ++r)
       wt[static_cast<std::size_t>(c) * rows + r] =
           w[static_cast<std::size_t>(r) * cols + c];
+}
+
+void dense_gather(const float* w, const float* wt, const float* bias,
+                  const float* x, float* y, int in_f, int out_f) {
+  for (int o = 0; o < out_f; ++o) y[o] = bias[o];
+  for (int i = 0; i < in_f; ++i) {
+    const float xi = x[i];
+    if (xi == 0.0f) continue;
+    if (wt != nullptr) {
+      const float* row = wt + static_cast<std::size_t>(i) * out_f;
+      for (int o = 0; o < out_f; ++o) y[o] += row[o] * xi;
+    } else {
+      const float* column = w + i;
+      for (int o = 0; o < out_f; ++o)
+        y[o] += column[static_cast<std::size_t>(o) * in_f] * xi;
+    }
+  }
 }
 
 ScopedKernelBackend::ScopedKernelBackend(const KernelOps& ops)

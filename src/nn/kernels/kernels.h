@@ -47,10 +47,25 @@
 //   maxpool2d            vectorized (window 2)  scalar
 //   conv2d_*_grad        vectorized             scalar
 //   dense_*_grad         scalar                 scalar
+//   dense_gather         shared (not in KernelOps)
 // The dense backward rows are short and contiguous, and the compiler
 // vectorizes the scalar loops already. NEON points its other entries
 // at the scalar ones because no ARM host is available to test a
 // vectorized version on, and the scalar code is correct everywhere.
+//
+// dense_gather is the dense forward for an input that is almost all
+// zeros (the quantized engine's one-hot Grid World state): each chain
+// is the dense chain with the terms of zero inputs left out. A left-out
+// term is w * (+-0) = +-0 for a finite w, and adding +-0 to a sum
+// changes nothing but, possibly, the sign of a zero sum. So the gather
+// and the dense output differ at most in the sign of a zero, and a
+// quantize (which writes every zero as +0) makes them bit-identical.
+// That needs finite weights and a quantize after the layer: the
+// engine's weights are decoded fixed-point words and every Dense
+// output is quantized on its buffer write. The float training layers
+// have neither guarantee and never gather. It is one function in the
+// -ffp-contract=off scalar TU, shared by every backend, so no compiler
+// can fuse its multiply-add.
 //
 // Backend selection happens once per process from FTNAV_SIMD
 // ("scalar" | "avx2" | "neon" | "auto", default auto = the widest
@@ -167,6 +182,16 @@ const KernelOps& active();
 /// w is a [rows][cols] matrix (conv: [oc][ic*kh*kw], dense: [o][i]) and
 /// wt receives [cols][rows].
 void transpose(const float* w, float* wt, int rows, int cols);
+
+/// Sparse-input dense forward: y[o] = bias[o], then
+/// y[o] += w[o][i] * x[i] for every i with x[i] != 0, in ascending i.
+/// w is row-major [o][i]; wt, when not null, is its transposed copy
+/// [i][o] and the weights are read from it (one contiguous row per
+/// nonzero input) instead. Equal to `dense` followed by a quantize,
+/// bit for bit, when every weight is finite (see the note at the top).
+/// y must not alias x.
+void dense_gather(const float* w, const float* wt, const float* bias,
+                  const float* x, float* y, int in_f, int out_f);
 
 /// Test-only: pins the active backend for the lifetime of the scope so
 /// one process can construct engines on different backends and compare

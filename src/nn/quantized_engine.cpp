@@ -5,6 +5,27 @@
 
 namespace ftnav {
 
+namespace {
+
+/// A reload patches word by word while at most 1/kPatchLimitDivisor of
+/// the weight buffer changed; beyond that one sequential decode and
+/// transpose of everything is cheaper than scattered patches.
+constexpr std::size_t kPatchLimitDivisor = 4;
+
+/// A Dense step gathers its nonzero inputs when there are at most
+/// in_f / kGatherDivisor of them (the one-hot Grid World state).
+constexpr int kGatherDivisor = 16;
+
+/// True when x[0, n) has at most `limit` nonzero elements.
+bool sparse_enough(const float* x, int n, int limit) {
+  int nonzeros = 0;
+  for (int i = 0; i < n; ++i)
+    if (x[i] != 0.0f && ++nonzeros > limit) return false;
+  return true;
+}
+
+}  // namespace
+
 QuantizedInferenceEngine::QuantizedInferenceEngine(const Network& golden,
                                                    QFormat format,
                                                    Shape input_shape)
@@ -50,6 +71,7 @@ void QuantizedInferenceEngine::build_program() {
                           conv.in_channels() * conv.kernel() * conv.kernel();
         op.wt_begin = wt_words_;
         wt_words_ += op.weight_count;
+        layer_op_.push_back(i);
         ++parametered;
         break;
       }
@@ -62,6 +84,7 @@ void QuantizedInferenceEngine::build_program() {
             static_cast<std::size_t>(op.in_f) * static_cast<std::size_t>(op.out_f);
         op.wt_begin = wt_words_;
         wt_words_ += op.weight_count;
+        layer_op_.push_back(i);
         ++parametered;
         break;
       }
@@ -104,11 +127,11 @@ void QuantizedInferenceEngine::set_weight_stuck(const StuckAtMask& mask) {
 
 void QuantizedInferenceEngine::reset_faults() {
   // Word-level restore off the golden image: produces exactly the
-  // words the construction-time encode produced. A clean image skips
-  // both the restore and the re-decode on the next inference — trials
-  // whose faults never touch the weight buffer (input/activation
-  // faults, fault-free baselines) keep the decoded image warm, which
-  // is what makes a shard-resident engine cheap for them.
+  // words the construction-time encode produced, touching only the
+  // words the trial's faults hit; the next inference re-decodes just
+  // those. A clean image skips both the restore and the reload —
+  // trials whose faults never touch the weight buffer (input/activation
+  // faults, fault-free baselines) keep the decoded image warm.
   if (weights_.dirty()) {
     weights_.restore();
     weights_dirty_ = true;
@@ -131,16 +154,41 @@ void QuantizedInferenceEngine::enable_weight_protection(double margin) {
   detector.finalize();
   weight_detector_ = std::move(detector);
   weights_dirty_ = true;
+  rebuild_weights_ = true;
 }
 
 void QuantizedInferenceEngine::load_weights() {
+  const std::span<const std::uint32_t> changed = weights_.changed_words();
+  if (rebuild_weights_ ||
+      changed.size() > weights_.size() / kPatchLimitDivisor) {
+    rebuild_weights();
+  } else {
+    for (const std::uint32_t word : changed) patch_weight(word);
+  }
+  weights_.mark_synced();
+  rebuild_weights_ = false;
+  // Every reload counts as one filter pass over the whole buffer,
+  // patched or not, so detector deltas do not depend on the path.
+  if (weight_detector_)
+    weight_detector_->count_pass(weights_.size(), anomalies_);
+  weights_dirty_ = false;
+}
+
+void QuantizedInferenceEngine::rebuild_weights() {
   weight_image_.resize(weights_.size());
   weights_.live().decode_into(weight_image_);
+  anomalous_.assign(weight_detector_ ? weights_.size() : 0, 0);
+  anomalies_ = 0;
   if (weight_detector_) {
     for (std::size_t layer = 0; layer < layer_ranges_.size(); ++layer) {
       const auto [begin, end] = layer_ranges_[layer];
-      weight_detector_->filter_all(
-          layer, std::span<float>(weight_image_).subspan(begin, end - begin));
+      for (std::size_t i = begin; i < end; ++i) {
+        if (!weight_detector_->is_anomalous(layer, weight_image_[i]))
+          continue;
+        anomalous_[i] = 1;
+        ++anomalies_;
+        weight_image_[i] = 0.0f;  // recovery: skip the broken weight
+      }
     }
   }
   if ((ops_->dense_wants_transposed || ops_->conv_wants_transposed) &&
@@ -148,8 +196,6 @@ void QuantizedInferenceEngine::load_weights() {
     // Rebuild the transposed weight caches: dense wt[i][o] and conv
     // wt[ic][kh][kw][oc], both contiguous across output channels so
     // SIMD lanes read neighboring output weights with one vector load.
-    // O(weights), amortized over every inference until the next fault
-    // injection.
     wt_cache_.resize(wt_words_);
     for (const Op& op : program_) {
       const float* w = weight_image_.data() + op.param_begin;
@@ -163,10 +209,44 @@ void QuantizedInferenceEngine::load_weights() {
       }
     }
   }
-  weights_dirty_ = false;
 }
 
-Tensor QuantizedInferenceEngine::infer(const Tensor& input, Rng& rng) {
+void QuantizedInferenceEngine::patch_weight(std::uint32_t word) {
+  std::size_t layer = 0;
+  while (layer + 1 < layer_ranges_.size() &&
+         word >= layer_ranges_[layer + 1].first)
+    ++layer;
+  float value = static_cast<float>(
+      format_.decode(weights_.live().words()[word]));
+  if (weight_detector_) {
+    const bool anomalous = weight_detector_->is_anomalous(layer, value);
+    anomalies_ = anomalies_ - anomalous_[word] + (anomalous ? 1 : 0);
+    anomalous_[word] = anomalous ? 1 : 0;
+    if (anomalous) value = 0.0f;
+  }
+  weight_image_[word] = value;
+
+  // The transposed slot of a weight (biases have none): dense w[o][i]
+  // lives at wt[i][o], conv w[oc][t] (t = ic*k*k + kh*k + kw) at
+  // wt[t][oc].
+  const Op& op = program_[layer_op_[layer]];
+  const std::size_t k = word - op.param_begin;
+  if (k >= op.weight_count) return;
+  if (op.kind == LayerKind::kDense && ops_->dense_wants_transposed) {
+    const auto in_f = static_cast<std::size_t>(op.in_f);
+    wt_cache_[op.wt_begin + (k % in_f) * static_cast<std::size_t>(op.out_f) +
+              k / in_f] = value;
+  } else if (op.kind == LayerKind::kConv2D && ops_->conv_wants_transposed) {
+    const auto taps = static_cast<std::size_t>(op.conv.in_c) *
+                      static_cast<std::size_t>(op.conv.kernel) *
+                      static_cast<std::size_t>(op.conv.kernel);
+    wt_cache_[op.wt_begin + (k % taps) * static_cast<std::size_t>(op.conv.out_c) +
+              k / taps] = value;
+  }
+}
+
+const float* QuantizedInferenceEngine::forward(const Tensor& input, Rng& rng,
+                                               std::size_t& count) {
   if (input.shape() != input_shape_)
     throw std::invalid_argument("infer: input shape mismatch");
   if (weights_dirty_) load_weights();
@@ -174,7 +254,7 @@ Tensor QuantizedInferenceEngine::infer(const Tensor& input, Rng& rng) {
   // Input buffer: quantize, then dynamic faults.
   float* cur = buf_a_.data();
   float* nxt = buf_b_.data();
-  std::size_t count = input.size();
+  count = input.size();
   std::copy(input.values().begin(), input.values().end(), cur);
   ops_->quantize(cur, count, format_);
   if (input_ber_ > 0.0)
@@ -203,17 +283,24 @@ Tensor QuantizedInferenceEngine::infer(const Tensor& input, Rng& rng) {
         ops_->quantize(nxt, count, format_);
         std::swap(cur, nxt);
         break;
-      case LayerKind::kDense:
-        ops_->dense(wimg + op.param_begin,
-                    ops_->dense_wants_transposed
-                        ? wt_cache_.data() + op.wt_begin
-                        : nullptr,
-                    wimg + op.param_begin + op.weight_count, cur, nxt,
-                    op.in_f, op.out_f);
+      case LayerKind::kDense: {
+        // A sparse input skips only terms w * (+-0) with a finite w,
+        // which can flip nothing but the sign of a zero sum; quantize
+        // writes every zero as +0, so the buffer bytes are the same.
+        const float* w = wimg + op.param_begin;
+        const float* wt = ops_->dense_wants_transposed
+                              ? wt_cache_.data() + op.wt_begin
+                              : nullptr;
+        const float* bias = w + op.weight_count;
+        if (sparse_enough(cur, op.in_f, op.in_f / kGatherDivisor))
+          kernels::dense_gather(w, wt, bias, cur, nxt, op.in_f, op.out_f);
+        else
+          ops_->dense(w, wt, bias, cur, nxt, op.in_f, op.out_f);
         count = static_cast<std::size_t>(op.out_f);
         ops_->quantize(nxt, count, format_);
         std::swap(cur, nxt);
         break;
+      }
       case LayerKind::kReLU: {
         ops_->relu(cur, count);
         const std::span<float> values(cur, count);
@@ -233,15 +320,22 @@ Tensor QuantizedInferenceEngine::infer(const Tensor& input, Rng& rng) {
     }
   }
 
-  const Shape out_shape =
-      program_.empty() ? input_shape_ : program_.back().out_shape;
-  Tensor out(out_shape);
-  std::copy(cur, cur + count, out.data());
+  return cur;
+}
+
+Tensor QuantizedInferenceEngine::infer(const Tensor& input, Rng& rng) {
+  std::size_t count = 0;
+  const float* y = forward(input, rng, count);
+  Tensor out(program_.empty() ? input_shape_ : program_.back().out_shape);
+  std::copy(y, y + count, out.data());
   return out;
 }
 
 std::size_t QuantizedInferenceEngine::act(const Tensor& input, Rng& rng) {
-  return infer(input, rng).argmax();
+  // The first maximum, as Tensor::argmax picks it.
+  std::size_t count = 0;
+  const float* y = forward(input, rng, count);
+  return static_cast<std::size_t>(std::max_element(y, y + count) - y);
 }
 
 }  // namespace ftnav

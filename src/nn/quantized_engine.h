@@ -21,21 +21,39 @@
 //
 // The engine snapshots the trained network at construction, so the
 // caller's golden model is never corrupted; reset_faults() restores
-// the weight buffer from a word-level golden image (a memcpy, not a
-// float re-encode), which makes batching many fault trials through
-// one resident engine cheap.
+// the weight buffer from a word-level golden image (a copy of the
+// words the faults touched, not a float re-encode), which makes
+// batching many fault trials through one resident engine cheap.
 //
 // Execution is compiled once into a flat layer program run by the
 // runtime-dispatched kernels in nn/kernels/ (FTNAV_SIMD selects the
 // backend; results are bit-identical across backends, see kernels.h)
-// over two reusable ping-pong buffers — no per-inference layer
-// allocations or virtual dispatch.
+// over two reusable ping-pong buffers — no per-inference allocations
+// or virtual dispatch. A Dense step whose input is almost all zeros
+// (a one-hot state, at most in_f / 16 nonzeros) runs
+// kernels::dense_gather over the nonzero inputs only, with the same
+// quantized output bytes.
+//
+// Weights reach the kernels through a decoded (and filtered) float
+// image plus the transposed copies the SIMD kernels read. The first
+// inference after a weight change reloads them. A reload patches only
+// the words the weight buffer reports as changed since the previous
+// one (faults applied, words restored), in the image and in their
+// transposed slots; it decodes everything only on the first load,
+// after weight protection is switched on or off, or when more than a
+// quarter of the buffer changed. Either way the result is what a full
+// decode would give.
 //
 // Optional hardening: a RangeAnomalyDetector calibrated on the golden
 // per-layer weight ranges filters the weight buffer at load time
-// (paper §5.2); activation protection can be enabled separately.
+// (paper §5.2); activation protection can be enabled separately. The
+// engine keeps a per-word anomaly flag, so a patched reload re-checks
+// only the changed words, yet every reload still tallies one check per
+// weight and one detection per anomalous weight on the detector, as a
+// full filter pass does.
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -112,7 +130,10 @@ class QuantizedInferenceEngine {
   /// (one bounds entry per parametered layer) and enables filtering of
   /// the weight buffer at load time.
   void enable_weight_protection(double margin = 0.1);
-  void disable_weight_protection() { weight_detector_.reset(); }
+  void disable_weight_protection() {
+    weight_detector_.reset();
+    rebuild_weights_ = true;
+  }
   const RangeAnomalyDetector* weight_detector() const {
     return weight_detector_ ? &*weight_detector_ : nullptr;
   }
@@ -143,7 +164,16 @@ class QuantizedInferenceEngine {
   };
 
   void build_program();
+  /// Brings the decoded weight image and its transposed copies up to
+  /// date with the weight buffer, patching or rebuilding.
   void load_weights();
+  /// Decodes, filters and transposes the whole weight buffer.
+  void rebuild_weights();
+  /// Re-decodes one weight word into the image and its transposed slot.
+  void patch_weight(std::uint32_t word);
+  /// Runs the program on `input`; returns the output buffer (valid
+  /// until the next call) and stores its length in `count`.
+  const float* forward(const Tensor& input, Rng& rng, std::size_t& count);
 
   Network net_;                         // structural snapshot (golden)
   std::vector<float> golden_params_;    // pristine parameters
@@ -152,7 +182,8 @@ class QuantizedInferenceEngine {
   FaultableImage weights_;              // weight buffer + golden words
   std::vector<std::pair<std::size_t, std::size_t>> layer_ranges_;
   std::size_t activation_words_ = 0;
-  bool weights_dirty_ = true;
+  bool weights_dirty_ = true;    // the next inference reloads weights
+  bool rebuild_weights_ = true;  // ...and that reload decodes them all
 
   double input_ber_ = 0.0;
   double activation_ber_ = 0.0;
@@ -165,8 +196,11 @@ class QuantizedInferenceEngine {
   std::vector<Op> program_;
   std::size_t max_elements_ = 0;  // largest buffer any step touches
   std::size_t wt_words_ = 0;      // transposed-cache footprint
+  std::vector<std::size_t> layer_op_;  // program_ index per parametered layer
   std::vector<float> weight_image_;   // decoded (+ filtered) weights
-  std::vector<float> wt_cache_;       // transposed dense weights
+  std::vector<float> wt_cache_;       // transposed dense/conv weights
+  std::vector<std::uint8_t> anomalous_;  // per word: filtered to zero
+  std::uint64_t anomalies_ = 0;          // count of anomalous_ words
   std::vector<float> buf_a_, buf_b_;  // ping-pong activation buffers
 };
 

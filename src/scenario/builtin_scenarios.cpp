@@ -820,6 +820,8 @@ using cost::Work;
 /// drone engine streams wider transposed-weight/activation words.
 constexpr double kGridWordBytes = 1.0;
 constexpr double kDroneWordBytes = 2.0;
+/// The quantized engine computes on float copies of its buffers.
+constexpr double kEngineFloatBytes = 4.0;
 
 struct GridPolicyModel {
   Work forward;        // one Q-evaluation (zero MACs for tabular)
@@ -842,15 +844,50 @@ GridPolicyModel grid_policy_model(GridPolicyKind kind,
           static_cast<double>(net.parameter_count())};
 }
 
+/// One greedy step of the NN policy through the quantized engine. The
+/// engine emulates fixed point in float buffers (4 bytes an element):
+/// the one-hot state is copied in, quantized and scanned for nonzeros;
+/// FC1 gathers the hot weight column over its biases (hidden adds);
+/// its output is written, quantized and rectified; FC2 runs dense over
+/// all its words; the Q-values are written and quantized.
+Work mlp_engine_step(int states) {
+  const MlpQConfig config;
+  const double hidden = config.hidden_units;
+  const double actions = GridWorld::action_count();
+  Work step;
+  step.macs = hidden + hidden * actions;
+  const double elements = 3.0 * states + 2.0 * hidden + 3.0 * hidden +
+                          hidden * actions + actions + hidden +
+                          2.0 * actions;
+  step.bytes = elements * kEngineFloatBytes;
+  return step;
+}
+
 /// One inference rollout: env stepping plus one Q-evaluation per step,
-/// plus the trial's fault-inject + golden-restore pass over the store.
-Work grid_rollout_trial(GridPolicyKind kind, ObstacleDensity density) {
+/// plus the trial's fault inject and golden restore. A tabular trial
+/// copies the whole table; the NN engine touches only the faulted
+/// words, each written, restored and patched into the decoded image
+/// and its transposed copy on both reloads, so that part grows with
+/// the fault count at the campaign's mean BER.
+Work grid_rollout_trial(GridPolicyKind kind, ObstacleDensity density,
+                        double mean_ber) {
   const GridPolicyModel model = grid_policy_model(kind, density);
   const MlpQConfig config;  // max_steps shared by both agent kinds
-  Work work = model.forward.scaled(config.max_steps);
+  Work work;
   work.grid_steps = config.max_steps;
-  work.bytes += cost::inject_restore_bytes(
-      static_cast<std::size_t>(model.store_words), kGridWordBytes);
+  if (kind == GridPolicyKind::kTabular) {
+    work.bytes += cost::inject_restore_bytes(
+        static_cast<std::size_t>(model.store_words), kGridWordBytes);
+    return work;
+  }
+  const int states = GridWorld::preset(density).state_count();
+  work += mlp_engine_step(states).scaled(config.max_steps);
+  const std::size_t fault_bits = fault_bits_for_ber(
+      mean_ber, static_cast<std::size_t>(model.store_words),
+      config.format.total_bits());
+  work.bytes += cost::inject_restore_bytes(fault_bits, kGridWordBytes) +
+                2.0 * 2.0 * static_cast<double>(fault_bits) *
+                    kEngineFloatBytes;
   return work;
 }
 
@@ -902,6 +939,13 @@ std::size_t repeats_of(const ParamSet& params) {
   return static_cast<std::size_t>(params.get_int("repeats"));
 }
 
+double mean_ber_of(const ParamSet& params) {
+  const std::vector<double> bers = params.get_double_list("bers");
+  double sum = 0.0;
+  for (const double ber : bers) sum += ber;
+  return bers.empty() ? 0.0 : sum / static_cast<double>(bers.size());
+}
+
 const char* grid_inference_label(GridPolicyKind kind) {
   return kind == GridPolicyKind::kTabular ? "grid_inference_trials_tabular"
                                           : "grid_inference_trials_nn";
@@ -917,7 +961,8 @@ CostEstimate grid_inference_cost(const ParamSet& params) {
   CampaignCost campaign;
   campaign.label = grid_inference_label(kind);
   campaign.trials = 4 * bers_of(params) * repeats_of(params);
-  campaign.per_trial = grid_rollout_trial(kind, density);
+  campaign.per_trial =
+        grid_rollout_trial(kind, density, mean_ber_of(params));
   est.campaigns.push_back(std::move(campaign));
   return est;
 }
@@ -934,7 +979,8 @@ CostEstimate grid_mitigation_cost(const ParamSet& params) {
     CampaignCost campaign;
     campaign.label = arm;
     campaign.trials = 4 * bers_of(params) * repeats_of(params);
-    campaign.per_trial = grid_rollout_trial(kind, density);
+    campaign.per_trial =
+        grid_rollout_trial(kind, density, mean_ber_of(params));
     est.campaigns.push_back(std::move(campaign));
   }
   return est;
@@ -1049,8 +1095,9 @@ CostEstimate margin_ablation_cost(const ParamSet& params) {
     CampaignCost campaign;
     campaign.label = "margin[" + std::to_string(i) + "]";
     campaign.trials = 4 * repeats_of(params);  // single-BER axis
-    campaign.per_trial = grid_rollout_trial(GridPolicyKind::kNeuralNet,
-                                            ObstacleDensity::kMiddle);
+    campaign.per_trial =
+        grid_rollout_trial(GridPolicyKind::kNeuralNet,
+                           ObstacleDensity::kMiddle, params.get_double("ber"));
     est.campaigns.push_back(std::move(campaign));
   }
   return est;

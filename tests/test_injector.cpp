@@ -1,8 +1,10 @@
-// Tests for the injection engines: stuck-at mask compilation/merging,
-// transient value injection, and quantization round-trips.
+// Tests for the injection engines: stuck-at mask compilation, the
+// faultable image's word tracking, transient value injection, and
+// quantization round-trips.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -47,19 +49,6 @@ TEST(StuckAtMask, MergesMultipleSitesPerWord) {
   std::vector<Word> words = {0x00};
   mask.apply(words);
   EXPECT_EQ(words[0], 0b101001u);
-}
-
-TEST(StuckAtMask, MergeCombinesMasks) {
-  StuckAtMask a = StuckAtMask::compile(
-      FaultMap(FaultType::kStuckAt0, {FaultSite{0, 0}}));
-  const StuckAtMask b = StuckAtMask::compile(
-      FaultMap(FaultType::kStuckAt1, {FaultSite{0, 1}, FaultSite{1, 2}}));
-  a.merge(b);
-  EXPECT_EQ(a.faulty_word_count(), 2u);
-  std::vector<Word> words = {0xff, 0x00};
-  a.apply(words);
-  EXPECT_EQ(words[0], 0xfeu | 0x02u);
-  EXPECT_EQ(words[1], 0x04u);
 }
 
 /// The compiled (and_mask, or_mask) of every word in [0, words): a
@@ -130,6 +119,60 @@ TEST(StuckAtMask, EmptyMaskIsNoOp) {
   std::vector<Word> words = {0xab};
   mask.apply(words);
   EXPECT_EQ(words[0], 0xabu);
+}
+
+std::vector<std::uint32_t> sorted_changes(const FaultableImage& image) {
+  const auto changed = image.changed_words();
+  std::vector<std::uint32_t> out(changed.begin(), changed.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(FaultableImage, TracksTouchedAndChangedWords) {
+  const QFormat fmt(3, 4);
+  const std::vector<float> values = {0.5f, -1.0f, 2.0f, 0.25f,
+                                     -0.75f, 1.5f, 0.0f, 3.0f};
+  FaultableImage image(fmt, values);
+  const std::vector<Word> golden(image.golden_words().begin(),
+                                 image.golden_words().end());
+  EXPECT_FALSE(image.dirty());
+  EXPECT_TRUE(image.changed_words().empty());
+
+  // Flips (a word hit twice is listed once), a layer slice rebased to
+  // word 4, and a stuck-at mask.
+  image.apply(FaultMap(FaultType::kTransientFlip,
+                       {FaultSite{1, 0}, FaultSite{1, 3}, FaultSite{6, 7}}));
+  image.apply(FaultMap(FaultType::kTransientFlip, {FaultSite{1, 2}}), 4, 4);
+  image.apply(StuckAtMask::compile(
+      FaultMap(FaultType::kStuckAt1, {FaultSite{2, 6}, FaultSite{6, 0}})));
+  EXPECT_TRUE(image.dirty());
+  EXPECT_EQ(sorted_changes(image), (std::vector<std::uint32_t>{1, 2, 5, 6}));
+
+  // The consumer reads them; a restore lists the same words again and
+  // puts back exactly the golden bytes.
+  image.mark_synced();
+  EXPECT_TRUE(image.changed_words().empty());
+  image.restore();
+  EXPECT_FALSE(image.dirty());
+  EXPECT_EQ(sorted_changes(image), (std::vector<std::uint32_t>{1, 2, 5, 6}));
+  const auto live = image.live().words();
+  EXPECT_EQ(std::vector<Word>(live.begin(), live.end()), golden);
+
+  // A restore of a clean image, or an empty map, changes nothing.
+  image.mark_synced();
+  image.restore();
+  image.apply(FaultMap(FaultType::kTransientFlip, {}));
+  image.apply(StuckAtMask());
+  EXPECT_FALSE(image.dirty());
+  EXPECT_TRUE(image.changed_words().empty());
+
+  // Changes made before a sync and restored after it stay listed once.
+  image.apply(FaultMap(FaultType::kTransientFlip, {FaultSite{3, 1}}));
+  image.restore();
+  image.apply(FaultMap(FaultType::kTransientFlip, {FaultSite{3, 2}}));
+  EXPECT_EQ(sorted_changes(image), (std::vector<std::uint32_t>{3}));
+  image.restore();
+  EXPECT_EQ(std::vector<Word>(live.begin(), live.end()), golden);
 }
 
 TEST(InjectTransient, FlipsBufferBits) {

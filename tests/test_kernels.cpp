@@ -364,6 +364,90 @@ void run_faulted_dense(const KernelOps& simd) {
   expect_bit_identical(y_scalar, y_simd, "faulted dense");
 }
 
+/// kernels::dense_gather followed by a quantize equals the backend's
+/// dense followed by the same quantize, bit for bit, on one-hot,
+/// all-zero, few-hot and signed-zero inputs, for weight images with
+/// sign-magnitude -0 words (which decode to +0) in both encodings, and
+/// for float -0.0 biases, the one way a zero sum can take either sign.
+void run_dense_gather_matrix(const KernelOps& ops) {
+  std::uint64_t seed = 1500;
+  bool saw_signed_zero_difference = false;
+  for (const QFormat& base : {QFormat::grid_world_weights(),
+                              QFormat::q_1_4_11()}) {
+    for (const Encoding encoding :
+         {Encoding::kTwosComplement, Encoding::kSignMagnitude}) {
+      const QFormat fmt = base.with_encoding(encoding);
+      const Word negative_zero = Word{1} << fmt.sign_bit();
+      for (const int in_f : {100, 128, 2304}) {
+        for (const int out_f : {1, 4, 9, 48}) {
+          const std::size_t wn = static_cast<std::size_t>(out_f) * in_f;
+          // Weights and biases as the engine holds them: decoded words,
+          // every 5th one the sign-magnitude -0 pattern (or plain 0).
+          QVector image(fmt, quantized_randoms(fmt, wn + out_f, ++seed));
+          for (std::size_t i = 0; i < image.size(); i += 5)
+            image.set_word(i, encoding == Encoding::kSignMagnitude
+                                  ? negative_zero
+                                  : Word{0});
+          std::vector<float> decoded(image.size());
+          image.decode_into(decoded);
+          const std::vector<float> w(decoded.begin(),
+                                     decoded.begin() + wn);
+          std::vector<float> bias(decoded.begin() + wn, decoded.end());
+          bias[0] = -0.0f;
+          std::vector<float> wt(wn);
+          kernels::transpose(w.data(), wt.data(), out_f, in_f);
+
+          std::vector<std::vector<float>> inputs;
+          for (const int hot : {0, in_f / 2, in_f - 1}) {
+            std::vector<float> x(in_f, 0.0f);
+            x[hot] = hot == 0 ? -1.0f : 1.0f;
+            inputs.push_back(x);
+          }
+          inputs.emplace_back(in_f, 0.0f);
+          inputs.emplace_back(in_f, -0.0f);
+          std::vector<float> few_hot(in_f, -0.0f);
+          few_hot[1] = 0.5f;
+          few_hot[in_f / 3] = -2.0f;
+          few_hot[in_f - 2] = 1.0f;
+          inputs.push_back(few_hot);
+          std::vector<float> signed_one_hot(in_f, -0.0f);
+          signed_one_hot[in_f / 4] = 1.0f;
+          inputs.push_back(signed_one_hot);
+
+          for (std::size_t k = 0; k < inputs.size(); ++k) {
+            const std::vector<float>& x = inputs[k];
+            std::vector<float> y_dense(out_f), y_gather(out_f),
+                y_gather_wt(out_f);
+            ops.dense(w.data(), ops.dense_wants_transposed ? wt.data()
+                                                           : nullptr,
+                      bias.data(), x.data(), y_dense.data(), in_f, out_f);
+            kernels::dense_gather(w.data(), nullptr, bias.data(), x.data(),
+                                  y_gather.data(), in_f, out_f);
+            kernels::dense_gather(w.data(), wt.data(), bias.data(),
+                                  x.data(), y_gather_wt.data(), in_f, out_f);
+            SCOPED_TRACE(fmt.name() + " in_f=" + std::to_string(in_f) +
+                         " out_f=" + std::to_string(out_f) +
+                         " input " + std::to_string(k));
+            for (int o = 0; o < out_f; ++o) {
+              // Before the quantize the two agree up to a zero's sign.
+              ASSERT_EQ(y_dense[o], y_gather[o]) << "output " << o;
+              if (bits_of(y_dense[o]) != bits_of(y_gather[o]))
+                saw_signed_zero_difference = true;
+            }
+            expect_bit_identical(y_gather, y_gather_wt, "gather via wt");
+            ops.quantize(y_dense.data(), y_dense.size(), fmt);
+            ops.quantize(y_gather.data(), y_gather.size(), fmt);
+            expect_bit_identical(y_dense, y_gather, "quantized gather");
+          }
+        }
+      }
+    }
+  }
+  // The -0.0 bias meets a +0 term somewhere: the quantize is what
+  // makes the gather exact, and this matrix reaches that case.
+  EXPECT_TRUE(saw_signed_zero_difference);
+}
+
 // ---- Backward entries ------------------------------------------------------
 
 /// Conv geometry given by its input; out_h/out_w follow.
@@ -575,6 +659,10 @@ TEST_F(Avx2BitIdentity, FaultedWeightImagesStayBitIdentical) {
   run_faulted_dense(*simd_);
 }
 
+TEST_F(Avx2BitIdentity, DenseGatherThenQuantizeMatchesDense) {
+  run_dense_gather_matrix(*simd_);
+}
+
 TEST_F(Avx2BitIdentity, ConvBackwardOnC3F2Shapes) {
   run_conv_backward_matrix(*simd_);
 }
@@ -622,6 +710,10 @@ TEST_F(NeonBitIdentity, MaxPoolAcrossWindowsAndOddPlanes) {
 
 TEST_F(NeonBitIdentity, FaultedWeightImagesStayBitIdentical) {
   run_faulted_dense(*simd_);
+}
+
+TEST_F(NeonBitIdentity, DenseGatherThenQuantizeMatchesDense) {
+  run_dense_gather_matrix(*simd_);
 }
 
 TEST_F(NeonBitIdentity, ConvBackwardOnC3F2Shapes) {
@@ -675,6 +767,10 @@ TEST(Kernels, ScopedBackendOverridesActive) {
 
 TEST(Kernels, ScalarConvBackwardSkipsZeroGradientTerms) {
   run_conv_backward_zero_gradient_terms(kernels::scalar_ops());
+}
+
+TEST(Kernels, ScalarDenseGatherThenQuantizeMatchesDense) {
+  run_dense_gather_matrix(kernels::scalar_ops());
 }
 
 TEST(Kernels, TransposeSwapsRowsAndColumns) {
