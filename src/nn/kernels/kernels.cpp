@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -275,9 +276,9 @@ void transpose(const float* w, float* wt, int rows, int cols) {
 void dense_gather(const float* w, const float* wt, const float* bias,
                   const float* x, float* y, int in_f, int out_f) {
   for (int o = 0; o < out_f; ++o) y[o] = bias[o];
-  for (int i = 0; i < in_f; ++i) {
+  const auto add_input = [&](int i) {
     const float xi = x[i];
-    if (xi == 0.0f) continue;
+    if (xi == 0.0f) return;
     if (wt != nullptr) {
       const float* row = wt + static_cast<std::size_t>(i) * out_f;
       for (int o = 0; o < out_f; ++o) y[o] += row[o] * xi;
@@ -286,7 +287,20 @@ void dense_gather(const float* w, const float* wt, const float* bias,
       for (int o = 0; o < out_f; ++o)
         y[o] += column[static_cast<std::size_t>(o) * in_f] * xi;
     }
+  };
+  // Skip eight inputs at a time while all of them are +-0: one OR of
+  // their bit patterns (two per 64-bit word) with the sign bits masked
+  // off, instead of a compare and branch per input.
+  constexpr std::uint64_t kMagnitudes = 0x7fffffff7fffffffULL;
+  int i = 0;
+  for (; i + 8 <= in_f; i += 8) {
+    std::uint64_t words[4];
+    std::memcpy(words, x + i, sizeof(words));
+    if (((words[0] | words[1] | words[2] | words[3]) & kMagnitudes) == 0)
+      continue;
+    for (int k = i; k < i + 8; ++k) add_input(k);
   }
+  for (; i < in_f; ++i) add_input(i);
 }
 
 ScopedKernelBackend::ScopedKernelBackend(const KernelOps& ops)

@@ -1,6 +1,7 @@
 #include "nn/quantized_engine.h"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 namespace ftnav {
@@ -16,12 +17,17 @@ constexpr std::size_t kPatchLimitDivisor = 4;
 /// in_f / kGatherDivisor of them (the one-hot Grid World state).
 constexpr int kGatherDivisor = 16;
 
-/// True when x[0, n) has at most `limit` nonzero elements.
-bool sparse_enough(const float* x, int n, int limit) {
+/// Number of elements of x[0, n) that compare unequal to zero. The
+/// count drops each sign bit (+-0 become 0) instead of branching per
+/// element, so the compiler vectorizes it.
+int count_nonzero(const float* x, int n) {
   int nonzeros = 0;
-  for (int i = 0; i < n; ++i)
-    if (x[i] != 0.0f && ++nonzeros > limit) return false;
-  return true;
+  for (int i = 0; i < n; ++i) {
+    std::uint32_t bits;
+    std::memcpy(&bits, x + i, sizeof(bits));
+    nonzeros += (bits << 1) != 0 ? 1 : 0;
+  }
+  return nonzeros;
 }
 
 }  // namespace
@@ -292,7 +298,7 @@ const float* QuantizedInferenceEngine::forward(const Tensor& input, Rng& rng,
                               ? wt_cache_.data() + op.wt_begin
                               : nullptr;
         const float* bias = w + op.weight_count;
-        if (sparse_enough(cur, op.in_f, op.in_f / kGatherDivisor))
+        if (count_nonzero(cur, op.in_f) <= op.in_f / kGatherDivisor)
           kernels::dense_gather(w, wt, bias, cur, nxt, op.in_f, op.out_f);
         else
           ops_->dense(w, wt, bias, cur, nxt, op.in_f, op.out_f);
