@@ -366,7 +366,7 @@ void run_faulted_dense(const KernelOps& simd) {
 
 /// kernels::dense_gather followed by a quantize equals the backend's
 /// dense followed by the same quantize, bit for bit, on one-hot,
-/// all-zero, few-hot and signed-zero inputs, for weight images with
+/// all-zero, few-hot, signed-zero and denormal inputs, for weight images with
 /// sign-magnitude -0 words (which decode to +0) in both encodings, and
 /// for float -0.0 biases, the one way a zero sum can take either sign.
 void run_dense_gather_matrix(const KernelOps& ops) {
@@ -413,6 +413,11 @@ void run_dense_gather_matrix(const KernelOps& ops) {
           std::vector<float> signed_one_hot(in_f, -0.0f);
           signed_one_hot[in_f / 4] = 1.0f;
           inputs.push_back(signed_one_hot);
+          // The smallest magnitudes are nonzero inputs too.
+          std::vector<float> denormals(in_f, 0.0f);
+          denormals[in_f / 5] = std::numeric_limits<float>::denorm_min();
+          denormals[in_f - 3] = -std::numeric_limits<float>::denorm_min();
+          inputs.push_back(denormals);
 
           for (std::size_t k = 0; k < inputs.size(); ++k) {
             const std::vector<float>& x = inputs[k];

@@ -29,6 +29,12 @@ Tensor test_input() {
   return Tensor(Shape{4, 1, 1}, {0.5f, -0.25f, 1.0f, 0.125f});
 }
 
+std::uint32_t float_bits(float v) {
+  std::uint32_t out;
+  std::memcpy(&out, &v, sizeof(out));
+  return out;
+}
+
 TEST(QuantizedEngine, FaultFreeMatchesQuantizedNetwork) {
   Rng rng(1);
   Network net = tiny_net(rng);
@@ -181,6 +187,33 @@ TEST(QuantizedEngine, WeightProtectionFiltersInjectedOutliers) {
 }
 
 
+TEST(QuantizedEngine, DisablingProtectionUnfiltersOnNextReload) {
+  // Weights filtered while protection was on come back on the first
+  // reload after it is switched off, even when that reload's faults
+  // touch other words.
+  Rng rng(25);
+  Network net = tiny_net(rng);
+  const QFormat fmt = QFormat::q_1_10_5();
+  const FaultMap outliers = FaultMap::sample(FaultType::kTransientFlip, 0.05,
+                                             net.parameter_count(), 16, rng);
+  const FaultMap later(FaultType::kTransientFlip, {FaultSite{0, 0}});
+  QuantizedInferenceEngine engine(net, fmt, Shape{4, 1, 1});
+  QuantizedInferenceEngine fresh(net, fmt, Shape{4, 1, 1});
+  Rng run(26);
+  engine.enable_weight_protection(0.1);
+  engine.inject_weight_faults(outliers);
+  (void)engine.infer(test_input(), run);
+  ASSERT_GT(engine.weight_detector()->detections(), 0u);
+  engine.disable_weight_protection();
+  engine.inject_weight_faults(later);
+  fresh.inject_weight_faults(outliers);
+  fresh.inject_weight_faults(later);
+  const Tensor got = engine.infer(test_input(), run);
+  const Tensor want = fresh.infer(test_input(), run);
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(float_bits(got[i]), float_bits(want[i])) << "output " << i;
+}
+
 TEST(QuantizedEngine, ActivationFaultsOnlyHitReluOutputs) {
   // A network without ReLU layers has no activation-buffer residents,
   // so dynamic activation faults must be no-ops.
@@ -294,12 +327,6 @@ TEST(QuantizedEngine, PersistentEngineMatchesFreshEngine) {
 // deltas are compared with the fresh engine's count, and the whole
 // sequence (outputs, detection and check deltas) is digested so any
 // change to what a resident engine computes shows up here.
-
-std::uint32_t float_bits(float v) {
-  std::uint32_t out;
-  std::memcpy(&out, &v, sizeof(out));
-  return out;
-}
 
 /// Plays one trial script on `engine`; each character is one call:
 ///   'i' infer the next input (cycling through `inputs`)
