@@ -846,7 +846,8 @@ GridPolicyModel grid_policy_model(GridPolicyKind kind,
 
 /// One greedy step of the NN policy through the quantized engine. The
 /// engine emulates fixed point in float buffers (4 bytes an element):
-/// the one-hot state is copied in, quantized and scanned for nonzeros;
+/// the one-hot state is written into the input buffer (one pass; the
+/// quantize and the vectorized nonzero count reread it from cache);
 /// FC1 gathers the hot weight column over its biases (hidden adds);
 /// its output is written, quantized and rectified; FC2 runs dense over
 /// all its words; the Q-values are written and quantized.
@@ -856,7 +857,7 @@ Work mlp_engine_step(int states) {
   const double actions = GridWorld::action_count();
   Work step;
   step.macs = hidden + hidden * actions;
-  const double elements = 3.0 * states + 2.0 * hidden + 3.0 * hidden +
+  const double elements = states + 2.0 * hidden + 3.0 * hidden +
                           hidden * actions + actions + hidden +
                           2.0 * actions;
   step.bytes = elements * kEngineFloatBytes;
